@@ -11,7 +11,8 @@ use crate::push::{Tier, Transition};
 use crate::rpc::Event;
 use ecc_parity::health::{HealthAction, HealthTable};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Fleet-wide node geometry: every node's health table has this shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +60,10 @@ pub struct NodeHealth {
     /// Per-page corrected-error counts, keyed `(channel, bank, row)`.
     /// BTreeMap so snapshots and top-K walks are deterministically ordered.
     pages: BTreeMap<(u32, u32, u32), u32>,
+    /// Largest count in `pages` (0 when empty) — lets `top_pages` skip a
+    /// node whose best page cannot enter the current top-K. Derived
+    /// state: never persisted, re-derived from `pages` on restore.
+    max_ce: u32,
     /// Posture tier after the last applied event — the push channel's
     /// transition edge detector. Derived state: never persisted, and
     /// re-derived from `risk_ppm` on restore.
@@ -71,6 +76,7 @@ impl NodeHealth {
             table: HealthTable::new(geom.channels as usize, geom.banks as usize, geom.threshold),
             events: 0,
             pages: BTreeMap::new(),
+            max_ce: 0,
             tier: Tier::Nominal,
         }
     }
@@ -84,7 +90,9 @@ impl NodeHealth {
             self.table.mark_faulty(pair);
             return;
         }
-        *self.pages.entry((ev.channel, ev.bank, ev.row)).or_insert(0) += ev.count;
+        let ce = self.pages.entry((ev.channel, ev.bank, ev.row)).or_insert(0);
+        *ce += ev.count;
+        self.max_ce = self.max_ce.max(*ce);
         for _ in 0..ev.count {
             match self.table.record_error(ch, bank) {
                 HealthAction::RetirePage => self.table.retire_page(ch, bank, ev.row),
@@ -100,20 +108,28 @@ impl NodeHealth {
     /// (non-migrated pairs walking toward the threshold) add linearly,
     /// saturating at 1.0.
     pub fn risk_ppm(&self) -> u64 {
-        let faulty = self.table.faulty_pair_count() as u64;
-        let retired = self.table.retired_count() as u64;
-        let pressure = self.table.active_counter_sum();
-        (250_000 * faulty + 25_000 * retired + 10_000 * pressure).min(1_000_000)
+        let (faulty, retired, pressure) = self.risk_inputs();
+        risk_from(faulty, retired, pressure)
+    }
+
+    /// `(faulty pairs, retired pages, counter pressure)`, each read once.
+    fn risk_inputs(&self) -> (u64, u64, u64) {
+        (
+            self.table.faulty_pair_count() as u64,
+            self.table.retired_count() as u64,
+            self.table.active_counter_sum(),
+        )
     }
 
     fn view(&self, node: u64) -> NodeView {
+        let (faulty_pairs, retired_pages, active_counter_sum) = self.risk_inputs();
         NodeView {
             node,
-            risk_ppm: self.risk_ppm(),
+            risk_ppm: risk_from(faulty_pairs, retired_pages, active_counter_sum),
             events: self.events,
-            faulty_pairs: self.table.faulty_pair_count() as u64,
-            retired_pages: self.table.retired_count() as u64,
-            active_counter_sum: self.table.active_counter_sum(),
+            faulty_pairs,
+            retired_pages,
+            active_counter_sum,
         }
     }
 
@@ -147,6 +163,11 @@ impl NodeHealth {
             })
             .collect()
     }
+}
+
+/// The [`NodeHealth::risk_ppm`] formula over its three inputs.
+fn risk_from(faulty: u64, retired: u64, pressure: u64) -> u64 {
+    (250_000 * faulty + 25_000 * retired + 10_000 * pressure).min(1_000_000)
 }
 
 /// Rendered per-node summary.
@@ -192,20 +213,19 @@ pub struct PageRisk {
     pub retired: bool,
 }
 
-/// Sort key: most errors first, then lowest address — total and
-/// deterministic, so merged top-K lists are stable across shard counts.
-fn page_order(a: &PageRisk, b: &PageRisk) -> std::cmp::Ordering {
-    b.ce.cmp(&a.ce)
-        .then(a.node.cmp(&b.node))
-        .then(a.channel.cmp(&b.channel))
-        .then(a.bank.cmp(&b.bank))
-        .then(a.row.cmp(&b.row))
+/// Sort key `(Reverse(ce), node, channel, bank, row)`: most errors
+/// first, then lowest address — total and deterministic, so merged top-K
+/// lists are stable across shard counts.
+type PageKey = (Reverse<u32>, u64, u32, u32, u32);
+
+fn page_key(p: &PageRisk) -> PageKey {
+    (Reverse(p.ce), p.node, p.channel, p.bank, p.row)
 }
 
 /// Merge per-shard top-K lists into the fleet top-K.
 pub fn merge_top_pages(mut lists: Vec<Vec<PageRisk>>, k: usize) -> Vec<PageRisk> {
     let mut all: Vec<PageRisk> = lists.drain(..).flatten().collect();
-    all.sort_by(page_order);
+    all.sort_by_key(page_key);
     all.truncate(k);
     all
 }
@@ -351,6 +371,7 @@ impl ShardState {
             let mut nh = NodeHealth::new(geom);
             nh.events = snap.events;
             nh.table = snap.health;
+            nh.max_ce = snap.pages.iter().map(|p| p.count).max().unwrap_or(0);
             nh.pages = snap
                 .pages
                 .into_iter()
@@ -441,11 +462,12 @@ impl ShardState {
             ..ShardAgg::default()
         };
         for nh in self.nodes.values() {
+            let (faulty, retired, pressure) = nh.risk_inputs();
             a.events += nh.events;
-            a.faulty_pairs += nh.table.faulty_pair_count() as u64;
-            a.retired_pages += nh.table.retired_count() as u64;
-            a.active_counter_sum += nh.table.active_counter_sum();
-            if nh.risk_ppm() >= AT_RISK_PPM {
+            a.faulty_pairs += faulty;
+            a.retired_pages += retired;
+            a.active_counter_sum += pressure;
+            if risk_from(faulty, retired, pressure) >= AT_RISK_PPM {
                 a.at_risk_nodes += 1;
             }
         }
@@ -462,27 +484,61 @@ impl ShardState {
         self.nodes.get(&node).map(|nh| nh.recommend(self.geom))
     }
 
-    /// This shard's top-`k` at-risk pages.
+    /// This shard's top-`k` at-risk pages: most errors first, then lowest
+    /// address.
+    ///
+    /// A bounded selection rather than a sort of every page: a max-heap
+    /// holds the best `k` seen so far with the worst on top. Nodes are
+    /// walked in ascending id and each node's pages in ascending address,
+    /// so once the heap is full a candidate that only ties the worst
+    /// entry's count always loses the address tie-break. That prunes
+    /// every page with `ce <= worst.ce`, and every node whose `max_ce`
+    /// is no higher without touching its pages. `retired` is looked up
+    /// for the winners only.
     pub fn top_pages(&self, k: usize) -> Vec<PageRisk> {
-        let mut out: Vec<PageRisk> = Vec::new();
-        let mut keys: Vec<&u64> = self.nodes.keys().collect();
-        keys.sort_unstable();
-        for &node in keys {
-            let nh = &self.nodes[&node];
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut nodes: Vec<(u64, &NodeHealth)> =
+            self.nodes.iter().map(|(&id, nh)| (id, nh)).collect();
+        nodes.sort_unstable_by_key(|&(id, _)| id);
+        // A max-heap of `PageKey`s keeps the worst entry kept on top.
+        let mut heap: BinaryHeap<PageKey> =
+            BinaryHeap::with_capacity(k.min(crate::rpc::MAX_TOP_K as usize));
+        let mut skipped = 0u64;
+        for &(node, nh) in &nodes {
+            if heap.len() == k && heap.peek().is_some_and(|w| nh.max_ce <= w.0 .0) {
+                skipped += 1;
+                continue;
+            }
             for (&(channel, bank, row), &ce) in &nh.pages {
-                out.push(PageRisk {
-                    node,
-                    channel,
-                    bank,
-                    row,
-                    ce,
-                    retired: nh.table.is_retired(channel as usize, bank as usize, row),
-                });
+                let key = (Reverse(ce), node, channel, bank, row);
+                if heap.len() < k {
+                    heap.push(key);
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    if ce > worst.0 .0 {
+                        *worst = key;
+                    }
+                }
             }
         }
-        out.sort_by(page_order);
-        out.truncate(k);
-        out
+        if obs::metrics::enabled() {
+            obs::counter!("service.top_pages.nodes_scanned").add(nodes.len() as u64 - skipped);
+            obs::counter!("service.top_pages.nodes_skipped").add(skipped);
+        }
+        heap.into_sorted_vec()
+            .into_iter()
+            .map(|(Reverse(ce), node, channel, bank, row)| PageRisk {
+                node,
+                channel,
+                bank,
+                row,
+                ce,
+                retired: self.nodes[&node]
+                    .table
+                    .is_retired(channel as usize, bank as usize, row),
+            })
+            .collect()
     }
 
     /// Serialize this partition (nodes sorted by id).

@@ -1,0 +1,180 @@
+//! Differential oracle for `ShardState::top_pages`.
+//!
+//! `top_pages` answers with a bounded, max-CE-pruned selection instead of
+//! sorting every page. This test holds it to the plain definition: flatten
+//! every page of a snapshot, take `retired` from the snapshot's health
+//! table, sort by (most errors first, then lowest node, channel, bank,
+//! row) and truncate. The seeded event streams are built for ties — few
+//! distinct counts, rows reused across nodes and within a node — and mix
+//! in bank faults and retired pages. Each stream is checked live, after a
+//! snapshot/restore round trip, and as a merge of `node % n` partitions.
+
+use eccparity_service::rpc::{Event, MAX_TOP_K};
+use eccparity_service::state::{merge_top_pages, Geometry, PageRisk, ShardState};
+
+/// SplitMix64: a self-contained seeded generator for the streams.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// One generated stream's shape.
+struct Shape {
+    seed: u64,
+    geom: Geometry,
+    /// Distinct node ids drawn from (sparse, so hash order ≠ id order).
+    nodes: u64,
+    /// Distinct rows per bank (small → repeated pages → ties).
+    rows: u64,
+    /// Largest per-event count.
+    max_count: u64,
+    events: usize,
+    /// One event in `fault_every` is a whole-bank fault.
+    fault_every: u64,
+}
+
+fn stream(shape: &Shape) -> Vec<Event> {
+    let mut rng = Mix(shape.seed);
+    (0..shape.events)
+        .map(|_| Event {
+            node: rng.below(shape.nodes) * 7919 + 3,
+            channel: rng.below(u64::from(shape.geom.channels)) as u32,
+            bank: rng.below(u64::from(shape.geom.banks)) as u32,
+            row: rng.below(shape.rows) as u32,
+            count: 1 + rng.below(shape.max_count) as u32,
+            bank_fault: rng.below(shape.fault_every) == 0,
+        })
+        .collect()
+}
+
+/// The documented order, written out independently of the crate's.
+fn reference_order(a: &PageRisk, b: &PageRisk) -> std::cmp::Ordering {
+    (b.ce, a.node, a.channel, a.bank, a.row).cmp(&(a.ce, b.node, b.channel, b.bank, b.row))
+}
+
+/// Every page of the state, sorted by the documented order.
+fn reference_all(state: &ShardState) -> Vec<PageRisk> {
+    let mut all: Vec<PageRisk> = state
+        .snapshot(0)
+        .nodes
+        .iter()
+        .flat_map(|n| {
+            n.pages.iter().map(|p| PageRisk {
+                node: n.node,
+                channel: p.channel,
+                bank: p.bank,
+                row: p.row,
+                ce: p.count,
+                retired: n
+                    .health
+                    .is_retired(p.channel as usize, p.bank as usize, p.row),
+            })
+        })
+        .collect();
+    all.sort_by(reference_order);
+    all
+}
+
+fn ks(pages: usize) -> Vec<usize> {
+    let mut ks = vec![1, 2, 50, pages + 5, MAX_TOP_K as usize];
+    ks.extend(
+        [pages.saturating_sub(1), pages]
+            .into_iter()
+            .filter(|&k| k > 0),
+    );
+    ks
+}
+
+fn check(shape: &Shape) {
+    let events = stream(shape);
+    let mut live = ShardState::new(shape.geom);
+    for ev in &events {
+        assert!(live.apply_event(ev), "generated events fit the geometry");
+    }
+    let reference = reference_all(&live);
+    let pages = reference.len();
+    assert!(
+        reference.iter().any(|p| p.retired) && reference.iter().any(|p| !p.retired),
+        "seed {}: the stream should mix retired and live pages",
+        shape.seed
+    );
+    let restored = ShardState::restore(shape.geom, live.snapshot(0).nodes);
+    let partitions: Vec<(usize, Vec<ShardState>)> = [1usize, 3, 7]
+        .into_iter()
+        .map(|n| {
+            let mut shards: Vec<ShardState> = (0..n).map(|_| ShardState::new(shape.geom)).collect();
+            for ev in &events {
+                assert!(shards[(ev.node % n as u64) as usize].apply_event(ev));
+            }
+            (n, shards)
+        })
+        .collect();
+
+    for k in ks(pages) {
+        let want = &reference[..k.min(pages)];
+        let seed = shape.seed;
+        assert_eq!(live.top_pages(k), want, "seed {seed} k {k}: live");
+        assert_eq!(restored.top_pages(k), want, "seed {seed} k {k}: restored");
+        for (n, shards) in &partitions {
+            let merged = merge_top_pages(shards.iter().map(|s| s.top_pages(k)).collect(), k);
+            assert_eq!(merged, want, "seed {seed} k {k}: merged over {n} shards");
+        }
+    }
+}
+
+#[test]
+fn top_pages_matches_full_sort_under_heavy_ties() {
+    let small = Geometry {
+        channels: 2,
+        banks: 4,
+        threshold: 3,
+    };
+    for seed in 0..8 {
+        // Counts of 1 and 2 only, eight rows per bank: almost every page
+        // ties with many others, within a node and across nodes.
+        check(&Shape {
+            seed,
+            geom: small,
+            nodes: 40,
+            rows: 8,
+            max_count: 2,
+            events: 3_000,
+            fault_every: 97,
+        });
+    }
+}
+
+#[test]
+fn top_pages_matches_full_sort_at_default_geometry() {
+    for seed in 100..104 {
+        check(&Shape {
+            seed,
+            geom: Geometry::default(),
+            nodes: 300,
+            rows: 16,
+            max_count: 4,
+            events: 20_000,
+            fault_every: 211,
+        });
+    }
+}
+
+#[test]
+fn top_pages_of_an_empty_state_is_empty() {
+    let s = ShardState::new(Geometry::default());
+    assert!(s.top_pages(50).is_empty());
+    assert!(ShardState::restore(Geometry::default(), Vec::new())
+        .top_pages(MAX_TOP_K as usize)
+        .is_empty());
+}
