@@ -38,7 +38,7 @@ pub enum HealthAction {
 }
 
 /// The health table: counters + faulty markings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthTable {
     channels: usize,
     pairs_per_channel: usize,
@@ -63,6 +63,61 @@ impl HealthTable {
             faulty: vec![false; channels * pairs_per_channel],
             retired: HashSet::new(),
         }
+    }
+
+    /// Rebuild a table from its persisted parts, refusing any that no
+    /// sequence of [`Self::record_error`] / [`Self::mark_faulty`] /
+    /// [`Self::retire_page`] calls could have produced:
+    ///
+    /// * `threshold` is at least 1;
+    /// * `counters` and `faulty` hold exactly one entry per pair;
+    /// * every counter is at most `threshold`, and a pair is faulty
+    ///   exactly when its counter sits at `threshold` (migration freezes
+    ///   the counter there);
+    /// * every retired page lies inside the table's channels and banks.
+    pub fn from_parts(
+        channels: usize,
+        pairs_per_channel: usize,
+        threshold: u8,
+        counters: Vec<u8>,
+        faulty: Vec<bool>,
+        retired: HashSet<(usize, usize, u32)>,
+    ) -> Result<Self, String> {
+        if threshold == 0 {
+            return Err("threshold must be at least 1".to_string());
+        }
+        let pairs = channels
+            .checked_mul(pairs_per_channel)
+            .ok_or("pair count overflows")?;
+        if counters.len() != pairs || faulty.len() != pairs {
+            return Err(format!(
+                "{} counters and {} faulty flags for {pairs} pairs",
+                counters.len(),
+                faulty.len()
+            ));
+        }
+        if let Some(i) =
+            (0..pairs).find(|&i| counters[i] > threshold || (counters[i] == threshold) != faulty[i])
+        {
+            return Err(format!(
+                "pair {i}: counter {} and faulty={} disagree with threshold {threshold}",
+                counters[i], faulty[i]
+            ));
+        }
+        if let Some(p) = retired
+            .iter()
+            .find(|&&(ch, bank, _)| ch >= channels || bank >= 2 * pairs_per_channel)
+        {
+            return Err(format!("retired page {p:?} outside the table"));
+        }
+        Ok(HealthTable {
+            channels,
+            pairs_per_channel,
+            threshold,
+            counters,
+            faulty,
+            retired,
+        })
     }
 
     /// The migration threshold (paper default: 4).
@@ -239,6 +294,22 @@ impl HealthTable {
         let mut out: Vec<_> = self.retired.iter().copied().collect();
         out.sort_unstable();
         out
+    }
+
+    /// Per-pair error counters, indexed `channel * pairs_per_channel + pair`.
+    pub fn counters(&self) -> &[u8] {
+        &self.counters
+    }
+
+    /// Per-pair faulty flags, same indexing as [`Self::counters`].
+    pub fn faulty_flags(&self) -> &[bool] {
+        &self.faulty
+    }
+
+    /// The retired pages as `(channel, bank, row)`, in hash order (see
+    /// [`Self::retired_pages`] for a sorted copy).
+    pub fn retired(&self) -> &HashSet<(usize, usize, u32)> {
+        &self.retired
     }
 
     /// Per-pair error counters, indexed `channel * pairs_per_channel + pair`
@@ -473,6 +544,69 @@ mod tests {
             HealthAction::RetirePage,
             "restored table keeps counting from where it left off"
         );
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_refuses_impossible_tables() {
+        let mut h = HealthTable::new(2, 4, 3);
+        for _ in 0..3 {
+            h.record_error(1, 2); // pair (1,1) migrates
+        }
+        h.record_error(0, 0);
+        h.retire_page(0, 0, 12);
+        let parts = || {
+            (
+                h.counters().to_vec(),
+                h.faulty_flags().to_vec(),
+                h.retired().clone(),
+            )
+        };
+        let (c, f, r) = parts();
+        assert_eq!(HealthTable::from_parts(2, 2, 3, c, f, r), Ok(h.clone()));
+
+        let (c, f, r) = parts();
+        assert!(
+            HealthTable::from_parts(2, 2, 0, c, f, r).is_err(),
+            "threshold 0"
+        );
+        let (mut c, f, r) = parts();
+        c.pop();
+        assert!(
+            HealthTable::from_parts(2, 2, 3, c, f, r).is_err(),
+            "short counters"
+        );
+        let (c, mut f, r) = parts();
+        f.push(false);
+        assert!(
+            HealthTable::from_parts(2, 2, 3, c, f, r).is_err(),
+            "long faulty"
+        );
+        let (mut c, f, r) = parts();
+        c[0] = 4;
+        assert!(
+            HealthTable::from_parts(2, 2, 3, c, f, r).is_err(),
+            "counter past threshold"
+        );
+        let (c, mut f, r) = parts();
+        f[0] = true;
+        assert!(
+            HealthTable::from_parts(2, 2, 3, c, f, r).is_err(),
+            "faulty below threshold"
+        );
+        let (c, mut f, r) = parts();
+        f[3] = false;
+        assert!(
+            HealthTable::from_parts(2, 2, 3, c, f, r).is_err(),
+            "threshold but not faulty"
+        );
+        for bad in [(2, 0, 1), (0, 4, 1)] {
+            let (c, f, mut r) = parts();
+            r.insert(bad);
+            assert!(
+                HealthTable::from_parts(2, 2, 3, c, f, r).is_err(),
+                "retired {bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::state::{
 };
 use eccparity_bench::hash::fnv1a64;
 use eccparity_bench::supervisor::{replay_journal, JournalRecord, JOURNAL_SCHEMA};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -495,6 +496,7 @@ impl EngineInner {
             std::io::Error::other("no state dir configured (--state-dir / ECC_PARITY_SERVICE_DIR)")
         })?;
         let _serialize = self.ckpt_lock.lock().expect("checkpoint lock");
+        let t0 = obs::metrics::enabled().then(Instant::now);
         self.barrier();
         let snaps: Vec<ShardSnapshot> = self
             .gather(ShardMsg::Snapshot, |st, shard| st.snapshot(shard))
@@ -510,8 +512,7 @@ impl EngineInner {
             total_shards: snaps.len() as u64,
         });
         for snap in &snaps {
-            let payload = serde_json::to_string(snap)
-                .map_err(|e| std::io::Error::other(format!("serialize shard snapshot: {e}")))?;
+            let payload = snap.encode();
             records.push(JournalRecord::ShardDone {
                 shard: format!("shard-{}", snap.shard),
                 class: "completed".to_string(),
@@ -526,6 +527,10 @@ impl EngineInner {
             succeeded: snaps.len() as u64,
         });
         publish_journal(&path, &records)?;
+        if let Some(t0) = t0 {
+            obs::histogram!("service.checkpoint.publish_ns")
+                .observe(t0.elapsed().as_nanos() as u64);
+        }
         // Only after a durable publish does this become the state
         // quarantined shards fall back to / respawn from.
         *self.last_checkpoint.lock().expect("last-checkpoint lock") =
@@ -816,9 +821,13 @@ impl Engine {
     pub fn start(cfg: EngineConfig) -> Engine {
         assert!(cfg.shards >= 1, "need at least one shard");
         let mut resumed: Vec<NodeSnapshot> = Vec::new();
+        // Set when resuming with metrics on: times journal read, decode
+        // and restore for `service.resume.load_ms`.
+        let mut resume_t0 = None;
         if cfg.resume {
             if let Some(path) = cfg.journal_path() {
                 if path.exists() {
+                    resume_t0 = obs::metrics::enabled().then(Instant::now);
                     resumed = load_checkpoint(&path, &cfg.name, &cfg.geom.config_key());
                     obs::counter!("service.resumes").inc();
                     if obs::trace::enabled() {
@@ -880,6 +889,12 @@ impl Engine {
             let nodes = inner.checkpoint_partition(i);
             let handle = spawn_worker(&inner, i, 0, nodes);
             *inner.slots[i].handle.lock().expect("slot handle lock") = Some(handle);
+        }
+        if let Some(t0) = resume_t0 {
+            // A worker restores its partition before it takes its first
+            // message, so the barrier returns once every restore is done.
+            inner.barrier();
+            obs::gauge!("service.resume.load_ms").set(t0.elapsed().as_millis() as u64);
         }
         let mut maint = Vec::new();
         {
@@ -1214,9 +1229,13 @@ fn publish_journal(path: &Path, records: &[JournalRecord]) -> std::io::Result<()
 }
 
 /// Load a checkpoint journal: validate the header against this daemon's
-/// identity, verify each shard payload's checksum, and return every
-/// recovered node snapshot. Damaged shards are skipped with a counter
-/// (partial recovery beats none); a mismatched header recovers nothing.
+/// identity, verify each shard payload's checksum, decode it against the
+/// geometry `config_key` names ([`ShardSnapshot::decode`]), and return
+/// every recovered node snapshot. A shard payload that fails its
+/// checksum, fails to decode, or repeats a node an earlier payload
+/// already holds is skipped and counted in
+/// `service.journal_corrupt_payloads` (partial recovery beats none); a
+/// mismatched header recovers nothing.
 pub fn load_checkpoint(path: &Path, name: &str, config_key: &str) -> Vec<NodeSnapshot> {
     let (records, torn) = replay_journal(path);
     if torn {
@@ -1231,15 +1250,16 @@ pub fn load_checkpoint(path: &Path, name: &str, config_key: &str) -> Vec<NodeSna
         Some(JournalRecord::Header { schema, campaign, config_key: ck, .. })
             if schema == JOURNAL_SCHEMA && campaign == name && ck == config_key
     );
-    if !header_ok {
+    let Some(geom) = Geometry::from_config_key(config_key).filter(|_| header_ok) else {
         obs::counter!("service.journal_discarded").inc();
         eprintln!(
             "eccparityd: checkpoint journal {} does not match this instance (name/geometry); starting empty",
             path.display()
         );
         return Vec::new();
-    }
+    };
     let mut nodes = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::new();
     for rec in &records {
         if let JournalRecord::ShardDone {
             shard,
@@ -1253,15 +1273,19 @@ pub fn load_checkpoint(path: &Path, name: &str, config_key: &str) -> Vec<NodeSna
                 eprintln!("eccparityd: checkpoint shard {shard} failed its checksum; skipping");
                 continue;
             }
-            match serde_json::from_str::<ShardSnapshot>(payload) {
-                Ok(snap) => nodes.extend(snap.nodes),
-                Err(e) => {
-                    obs::counter!("service.journal_corrupt_payloads").inc();
-                    eprintln!(
-                        "eccparityd: checkpoint shard {shard} failed to parse ({e}); skipping"
-                    );
-                }
-            }
+            let refusal = match ShardSnapshot::decode(payload.as_bytes(), geom) {
+                Ok(snap) => match snap.nodes.iter().find(|n| seen.contains(&n.node)) {
+                    Some(dup) => format!("repeats node {} of an earlier shard", dup.node),
+                    None => {
+                        seen.extend(snap.nodes.iter().map(|n| n.node));
+                        nodes.extend(snap.nodes);
+                        continue;
+                    }
+                },
+                Err(e) => format!("failed to decode ({e})"),
+            };
+            obs::counter!("service.journal_corrupt_payloads").inc();
+            eprintln!("eccparityd: checkpoint shard {shard} {refusal}; skipping");
         }
     }
     nodes
@@ -1442,6 +1466,46 @@ mod tests {
         let fleet = engine.query(&Query::Fleet);
         assert!(fleet.contains("\"nodes\":0"), "{fleet}");
         engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_publish_and_resume_are_metered() {
+        obs::metrics::set_enabled(true);
+        let dir = std::env::temp_dir().join(format!("eccparityd-meters-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EngineConfig {
+            shards: 2,
+            state_dir: Some(dir.clone()),
+            name: "meters".to_string(),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start(cfg.clone());
+        drive(&engine, &[line(3, 1, 2, 9)]);
+        let publish = || {
+            obs::histogram!("service.checkpoint.publish_ns")
+                .snapshot()
+                .count
+        };
+        let before = publish();
+        engine.checkpoint().unwrap();
+        assert!(
+            publish() > before,
+            "one observation per published checkpoint"
+        );
+        engine.shutdown();
+
+        Engine::start(EngineConfig {
+            resume: true,
+            ..cfg
+        })
+        .shutdown();
+        assert!(
+            obs::metrics::snapshot()
+                .iter()
+                .any(|(name, _)| *name == "service.resume.load_ms"),
+            "resume sets its load gauge"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,9 +10,8 @@
 use crate::push::{Tier, Transition};
 use crate::rpc::Event;
 use ecc_parity::health::{HealthAction, HealthTable};
-use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 /// Fleet-wide node geometry: every node's health table has this shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +42,19 @@ impl Geometry {
             "eccparity-rpc-v1|channels={}|banks={}|threshold={}",
             self.channels, self.banks, self.threshold
         )
+    }
+
+    /// The geometry a [`Geometry::config_key`] names, if `key` is one.
+    pub fn from_config_key(key: &str) -> Option<Geometry> {
+        let rest = key.strip_prefix("eccparity-rpc-v1|channels=")?;
+        let (channels, rest) = rest.split_once("|banks=")?;
+        let (banks, threshold) = rest.split_once("|threshold=")?;
+        let geom = Geometry {
+            channels: channels.parse().ok()?,
+            banks: banks.parse().ok()?,
+            threshold: threshold.parse().ok()?,
+        };
+        (geom.config_key() == key).then_some(geom)
     }
 }
 
@@ -286,9 +298,23 @@ impl ShardAgg {
 }
 
 // ---- snapshots (checkpoint payloads) ---------------------------------------
+//
+// A checkpoint payload is one shard's `ShardSnapshot` as compact JSON of one
+// fixed shape (field order as written, no whitespace):
+//
+//   {"shard":S,"nodes":[NODE,...]}
+//   NODE   = {"node":N,"events":E,"pages":[PAGE,...],"health":HEALTH}
+//   PAGE   = {"channel":C,"bank":B,"row":R,"count":K}
+//   HEALTH = {"channels":C,"pairs_per_channel":P,"threshold":T,
+//             "counters":[u8,...],"faulty":[bool,...],"retired":[[c,b,r],...]}
+//
+// Nodes ascend by id, pages by (channel, bank, row), and retired pages in
+// `retired_text_order`. `ShardSnapshot::encode` writes exactly these bytes;
+// `ShardSnapshot::decode` accepts exactly these bytes — the canonical form
+// of a state that fits the daemon's geometry — and nothing else.
 
 /// One page-count entry of a node snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageCount {
     /// Channel.
     pub channel: u32,
@@ -300,8 +326,8 @@ pub struct PageCount {
     pub count: u32,
 }
 
-/// Serialized form of one node (checkpoint journal payload element).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One node of a checkpoint payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot {
     /// Node id.
     pub node: u64,
@@ -313,8 +339,8 @@ pub struct NodeSnapshot {
     pub health: HealthTable,
 }
 
-/// Serialized form of one shard's partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One shard's partition: the unit of a checkpoint payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index at checkpoint time (informational; resume repartitions
     /// by `node % shards` for whatever shard count the daemon restarts
@@ -322,6 +348,332 @@ pub struct ShardSnapshot {
     pub shard: u64,
     /// The shard's nodes, sorted by node id.
     pub nodes: Vec<NodeSnapshot>,
+}
+
+/// Number of decimal digits of `v`.
+fn digits(v: u64) -> u32 {
+    v.checked_ilog10().unwrap_or(0) + 1
+}
+
+/// Compare two integers as decimal text, byte by byte: a proper prefix
+/// sorts first, so `10` < `9` and `1` < `10`.
+fn dec_text_cmp(a: u64, b: u64) -> Ordering {
+    let (da, db) = (digits(a), digits(b));
+    let width = da.max(db);
+    let scaled = |v: u64, d: u32| u128::from(v) * 10u128.pow(width - d);
+    scaled(a, da).cmp(&scaled(b, db)).then(da.cmp(&db))
+}
+
+/// The order a payload lists retired pages in: channel, bank, then row,
+/// each compared as decimal text, so `[5,4,10370]` precedes `[5,4,7087]`.
+/// It is the order of the journal's original serde writer, which sorted
+/// the set by rendered element; keeping it keeps existing journals
+/// byte-identical.
+fn retired_text_order(a: &(usize, usize, u32), b: &(usize, usize, u32)) -> Ordering {
+    dec_text_cmp(a.0 as u64, b.0 as u64)
+        .then_with(|| dec_text_cmp(a.1 as u64, b.1 as u64))
+        .then_with(|| dec_text_cmp(u64::from(a.2), u64::from(b.2)))
+}
+
+/// Append `v` in decimal.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// Append `[f(x0),f(x1),...]`.
+fn push_list<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        f(out, item);
+    }
+    out.push(']');
+}
+
+fn push_node(out: &mut String, n: &NodeSnapshot) {
+    out.push_str("{\"node\":");
+    push_uint(out, n.node);
+    out.push_str(",\"events\":");
+    push_uint(out, n.events);
+    out.push_str(",\"pages\":");
+    push_list(out, &n.pages, |out, p| {
+        out.push_str("{\"channel\":");
+        push_uint(out, u64::from(p.channel));
+        out.push_str(",\"bank\":");
+        push_uint(out, u64::from(p.bank));
+        out.push_str(",\"row\":");
+        push_uint(out, u64::from(p.row));
+        out.push_str(",\"count\":");
+        push_uint(out, u64::from(p.count));
+        out.push('}');
+    });
+    let h = &n.health;
+    out.push_str(",\"health\":{\"channels\":");
+    push_uint(out, h.channels() as u64);
+    out.push_str(",\"pairs_per_channel\":");
+    push_uint(out, h.pairs_per_channel() as u64);
+    out.push_str(",\"threshold\":");
+    push_uint(out, u64::from(h.threshold()));
+    out.push_str(",\"counters\":");
+    push_list(out, h.counters(), |out, &c| push_uint(out, u64::from(c)));
+    out.push_str(",\"faulty\":");
+    push_list(out, h.faulty_flags(), |out, &f| {
+        out.push_str(if f { "true" } else { "false" })
+    });
+    out.push_str(",\"retired\":");
+    let mut retired: Vec<(usize, usize, u32)> = h.retired().iter().copied().collect();
+    retired.sort_unstable_by(retired_text_order);
+    push_list(out, &retired, |out, &(ch, bank, row)| {
+        out.push('[');
+        push_uint(out, ch as u64);
+        out.push(',');
+        push_uint(out, bank as u64);
+        out.push(',');
+        push_uint(out, u64::from(row));
+        out.push(']');
+    });
+    out.push_str("}}");
+}
+
+/// Single-pass reader of the canonical payload form.
+struct Decoder<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+/// A refusal: the byte offset of the offending value and the rule it broke.
+fn refuse<T>(at: usize, reason: impl std::fmt::Display) -> Result<T, String> {
+    Err(format!("byte {at}: {reason}"))
+}
+
+impl Decoder<'_> {
+    /// Consume `c` if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.b.get(self.pos) == Some(&c);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consume exactly `lit`.
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            refuse(self.pos, format!("expected `{lit}`"))
+        }
+    }
+
+    /// A decimal integer in `0..=max`, without sign or leading zeros.
+    fn uint(&mut self, max: u64) -> Result<u64, String> {
+        let start = self.pos;
+        let mut v = 0u64;
+        while let Some(d) = self.b.get(self.pos).filter(|c| c.is_ascii_digit()) {
+            v = match v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d - b'0')))
+            {
+                Some(v) if v <= max => v,
+                _ => return refuse(start, format!("number above {max}")),
+            };
+            self.pos += 1;
+        }
+        match self.pos - start {
+            0 => refuse(start, "expected a number"),
+            n if n > 1 && self.b[start] == b'0' => refuse(start, "leading zero"),
+            _ => Ok(v),
+        }
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        self.uint(u64::from(u32::MAX)).map(|v| v as u32)
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        if self.b[self.pos..].starts_with(b"true") {
+            self.pos += 4;
+            Ok(true)
+        } else {
+            self.lit("false").map(|()| false)
+        }
+    }
+
+    /// `[item,...]` or `[]`, calling `item` once per element.
+    fn list(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.lit("[")?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if !self.eat(b',') {
+                return self.lit("]");
+            }
+        }
+    }
+
+    fn node(&mut self, geom: Geometry) -> Result<NodeSnapshot, String> {
+        self.lit("{\"node\":")?;
+        let node = self.uint(u64::MAX)?;
+        self.lit(",\"events\":")?;
+        let events = self.uint(u64::MAX)?;
+        self.lit(",\"pages\":")?;
+        let mut pages: Vec<PageCount> = Vec::new();
+        self.list(|d| {
+            let at = d.pos;
+            d.lit("{\"channel\":")?;
+            let channel = d.u32()?;
+            d.lit(",\"bank\":")?;
+            let bank = d.u32()?;
+            d.lit(",\"row\":")?;
+            let row = d.u32()?;
+            d.lit(",\"count\":")?;
+            let count = d.u32()?;
+            d.lit("}")?;
+            if channel >= geom.channels || bank >= geom.banks {
+                return refuse(at, "page outside the geometry");
+            }
+            if pages
+                .last()
+                .is_some_and(|p| (p.channel, p.bank, p.row) >= (channel, bank, row))
+            {
+                return refuse(at, "pages unsorted or duplicated");
+            }
+            pages.push(PageCount {
+                channel,
+                bank,
+                row,
+                count,
+            });
+            Ok(())
+        })?;
+        self.lit(",\"health\":")?;
+        let health = self.health(geom)?;
+        self.lit("}")?;
+        Ok(NodeSnapshot {
+            node,
+            events,
+            pages,
+            health,
+        })
+    }
+
+    fn health(&mut self, geom: Geometry) -> Result<HealthTable, String> {
+        let at = self.pos;
+        self.lit("{\"channels\":")?;
+        let channels = self.u32()?;
+        self.lit(",\"pairs_per_channel\":")?;
+        let pairs_per_channel = self.u32()?;
+        self.lit(",\"threshold\":")?;
+        let threshold = self.uint(u64::from(u8::MAX))? as u8;
+        if channels != geom.channels
+            || u64::from(pairs_per_channel) * 2 != u64::from(geom.banks)
+            || threshold != geom.threshold
+        {
+            return refuse(at, "health table shape differs from the geometry");
+        }
+        let mut counters = Vec::with_capacity(channels as usize * pairs_per_channel as usize);
+        self.lit(",\"counters\":")?;
+        self.list(|d| {
+            counters.push(d.uint(u64::from(u8::MAX))? as u8);
+            Ok(())
+        })?;
+        let mut faulty = Vec::with_capacity(counters.len());
+        self.lit(",\"faulty\":")?;
+        self.list(|d| {
+            faulty.push(d.bool()?);
+            Ok(())
+        })?;
+        let mut retired: Vec<(usize, usize, u32)> = Vec::new();
+        self.lit(",\"retired\":")?;
+        self.list(|d| {
+            let at = d.pos;
+            d.lit("[")?;
+            let ch = d.u32()? as usize;
+            d.lit(",")?;
+            let bank = d.u32()? as usize;
+            d.lit(",")?;
+            let row = d.u32()?;
+            d.lit("]")?;
+            let page = (ch, bank, row);
+            if retired
+                .last()
+                .is_some_and(|prev| retired_text_order(prev, &page) != Ordering::Less)
+            {
+                return refuse(at, "retired pages unsorted or duplicated");
+            }
+            retired.push(page);
+            Ok(())
+        })?;
+        self.lit("}")?;
+        let retired: HashSet<(usize, usize, u32)> = retired.into_iter().collect();
+        HealthTable::from_parts(
+            channels as usize,
+            pairs_per_channel as usize,
+            threshold,
+            counters,
+            faulty,
+            retired,
+        )
+        .or_else(|e| refuse(at, e))
+    }
+}
+
+impl ShardSnapshot {
+    /// The checkpoint payload for this snapshot (the shape above).
+    pub fn encode(&self) -> String {
+        let pages: usize = self.nodes.iter().map(|n| n.pages.len()).sum();
+        let mut out = String::with_capacity(32 + 48 * pages + 512 * self.nodes.len());
+        out.push_str("{\"shard\":");
+        push_uint(&mut out, self.shard);
+        out.push_str(",\"nodes\":");
+        push_list(&mut out, &self.nodes, push_node);
+        out.push('}');
+        out
+    }
+
+    /// Read a checkpoint payload back, refusing any that is not exactly
+    /// what [`ShardSnapshot::encode`] writes for a state of `geom`: a
+    /// health table of another shape, counters or faulty flags of the
+    /// wrong length, a page or retired entry out of range, pages or nodes
+    /// unsorted or duplicated, or a table [`HealthTable::from_parts`]
+    /// refuses.
+    pub fn decode(payload: &[u8], geom: Geometry) -> Result<ShardSnapshot, String> {
+        let mut d = Decoder { b: payload, pos: 0 };
+        d.lit("{\"shard\":")?;
+        let shard = d.uint(u64::MAX)?;
+        d.lit(",\"nodes\":")?;
+        let mut nodes: Vec<NodeSnapshot> = Vec::new();
+        d.list(|d| {
+            let at = d.pos;
+            let n = d.node(geom)?;
+            if nodes.last().is_some_and(|prev| prev.node >= n.node) {
+                return refuse(at, "nodes unsorted or duplicated");
+            }
+            nodes.push(n);
+            Ok(())
+        })?;
+        d.lit("}")?;
+        if d.pos != payload.len() {
+            return refuse(d.pos, "trailing bytes");
+        }
+        Ok(ShardSnapshot { shard, nodes })
+    }
 }
 
 // ---- shard state -----------------------------------------------------------
@@ -696,8 +1048,8 @@ mod tests {
             s.apply_event(&ce(u64::from(i % 5), i % 4, i % 8, i, 1 + i % 3));
         }
         let snap = s.snapshot(0);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ShardSnapshot = serde_json::from_str(&json).unwrap();
+        let back = ShardSnapshot::decode(snap.encode().as_bytes(), geom).unwrap();
+        assert_eq!(back, snap);
         let r = ShardState::restore(geom, back.nodes);
         assert_eq!(r.node_count(), s.node_count());
         assert_eq!(r.agg().events, s.agg().events);
@@ -707,6 +1059,25 @@ mod tests {
         for n in 0..5 {
             assert_eq!(r.node_view(n), s.node_view(n), "node {n}");
             assert_eq!(r.recommend(n), s.recommend(n), "node {n}");
+        }
+    }
+
+    #[test]
+    fn config_key_names_its_geometry_only() {
+        let geom = Geometry {
+            channels: 12,
+            banks: 6,
+            threshold: 255,
+        };
+        assert_eq!(Geometry::from_config_key(&geom.config_key()), Some(geom));
+        for key in [
+            "eccparity-rpc-v1|channels=8|banks=16",
+            "eccparity-rpc-v1|channels=8|banks=16|threshold=256",
+            "eccparity-rpc-v1|channels=08|banks=16|threshold=4",
+            "eccparity-rpc-v1|channels=+8|banks=16|threshold=4",
+            "campaign|channels=8|banks=16|threshold=4",
+        ] {
+            assert_eq!(Geometry::from_config_key(key), None, "{key}");
         }
     }
 
