@@ -13,7 +13,6 @@
 use crate::config::{MemoryConfig, RowPolicy};
 use crate::power::PowerModel;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Completion report for one scheduled request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,24 +95,35 @@ impl RankState {
 /// scheduler actually performs. Without this, a single deferred write (e.g.
 /// a parity read-modify-write) would act as a head-of-line bubble for every
 /// subsequently submitted read.
+///
+/// The intervals live in a plain vector: `busy[head..]` is the ledger, and
+/// `busy[..head]` is the pruned prefix, reclaimed in one compaction once it
+/// reaches [`BusLedger::PREALLOC`] entries. Arrivals are near-monotone, so
+/// a reservation's first conflict sits at or next to the tail and is found
+/// by stepping backward from there.
 #[derive(Debug, Default)]
 struct BusLedger {
-    /// Sorted, disjoint (start, end) busy intervals.
-    busy: VecDeque<(u64, u64)>,
+    /// Sorted, disjoint (start, end) busy intervals; live from `head` on.
+    busy: Vec<(u64, u64)>,
+    /// Index of the first live interval.
+    head: usize,
     /// Strict-FIFO mode: no gap filling — behave as a monotone watermark.
     strict: bool,
     watermark: u64,
 }
 
 impl BusLedger {
-    /// Typical live-interval count stays in the low tens (pruning drops
-    /// everything older than a few tRC); reserving up front keeps the hot
-    /// reserve/prune path free of reallocation.
+    /// Pruned-prefix length that triggers a compaction. Live counts average
+    /// 2–26 intervals per reservation over the Fig 10 matrix, peaking at 76
+    /// (pruning drops everything older than a few tRC), so reserving twice
+    /// this up front keeps the hot reserve/prune path almost free of
+    /// reallocation.
     const PREALLOC: usize = 64;
 
     fn new() -> Self {
         BusLedger {
-            busy: VecDeque::with_capacity(Self::PREALLOC),
+            busy: Vec::with_capacity(2 * Self::PREALLOC),
+            head: 0,
             strict: false,
             watermark: 0,
         }
@@ -126,50 +136,53 @@ impl BusLedger {
         }
     }
 
-    /// Reserve `len` cycles starting no earlier than `earliest`; returns the
-    /// start of the granted slot.
+    /// The live intervals, oldest first.
+    fn live(&self) -> &[(u64, u64)] {
+        &self.busy[self.head..]
+    }
+
+    /// Reserve `len > 0` cycles starting no earlier than `earliest`; returns
+    /// the start of the granted slot.
     fn reserve(&mut self, earliest: u64, len: u64) -> u64 {
+        debug_assert!(len > 0, "empty reservation");
         if self.strict {
             let t = earliest.max(self.watermark);
             self.watermark = t + len;
             return t;
         }
+        // Ends are sorted, so every interval before `first` ends by
+        // `earliest` and cannot conflict; every one from `first` on ends
+        // after the candidate slot's start.
+        let mut first = self.busy.len();
+        while first > self.head && self.busy[first - 1].1 > earliest {
+            first -= 1;
+        }
         let mut t = earliest;
-        let mut pos = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
-            if e <= t {
-                continue;
-            }
+        for (i, &(s, e)) in self.busy.iter().enumerate().skip(first) {
             if s >= t + len {
-                pos = i;
-                break;
+                // The request slotted into a gap ahead of an already-booked
+                // later transfer — the reordering "scheduler pick" this
+                // ledger models (vs. appending in submission order).
+                obs::counter!("dram.sched.gap_fills").inc();
+                self.busy.insert(i, (t, t + len));
+                return t;
             }
             // overlaps the candidate slot: push past this interval
             t = e;
         }
-        if pos != self.busy.len() {
-            // The request slotted into a gap ahead of an already-booked
-            // later transfer — the reordering "scheduler pick" this ledger
-            // models (vs. appending in submission order).
-            obs::counter!("dram.sched.gap_fills").inc();
-        }
-        if pos == self.busy.len() {
-            // find insertion point at the tail (t is past every conflict)
-            pos = self.busy.partition_point(|&(s, _)| s < t);
-        }
-        self.busy.insert(pos, (t, t + len));
+        self.busy.push((t, t + len));
         t
     }
 
     /// Drop intervals that end before `horizon` (arrivals are near-monotone,
     /// so old intervals can never matter again).
     fn prune(&mut self, horizon: u64) {
-        while let Some(&(_, e)) = self.busy.front() {
-            if e < horizon {
-                self.busy.pop_front();
-            } else {
-                break;
-            }
+        while self.head < self.busy.len() && self.busy[self.head].1 < horizon {
+            self.head += 1;
+        }
+        if self.head >= Self::PREALLOC {
+            self.busy.drain(..self.head);
+            self.head = 0;
         }
     }
 }
@@ -315,8 +328,9 @@ impl Channel {
                 obs::counter!("dram.reads").inc();
             }
             obs::histogram!("dram.queue_delay").observe(act - arrival);
-            obs::histogram!("dram.bus_occupancy").observe(self.bus.busy.len() as u64);
-            obs::gauge!("dram.bus_occupancy_peak").set_max(self.bus.busy.len() as u64);
+            let live = self.bus.live().len() as u64;
+            obs::histogram!("dram.bus_occupancy").observe(live);
+            obs::gauge!("dram.bus_occupancy_peak").set_max(live);
         }
 
         Completion {
@@ -422,8 +436,9 @@ impl Channel {
                 obs::counter!("dram.reads").inc();
             }
             obs::histogram!("dram.queue_delay").observe(first_act.saturating_sub(arrival));
-            obs::histogram!("dram.bus_occupancy").observe(self.bus.busy.len() as u64);
-            obs::gauge!("dram.bus_occupancy_peak").set_max(self.bus.busy.len() as u64);
+            let live = self.bus.live().len() as u64;
+            obs::histogram!("dram.bus_occupancy").observe(live);
+            obs::gauge!("dram.bus_occupancy_peak").set_max(live);
         }
 
         Completion {
@@ -498,6 +513,169 @@ fn avoid_refresh_window(t: u64, t_refi: u64, t_rfc: u64) -> u64 {
 #[cfg(test)]
 mod ledger_tests {
     use super::BusLedger;
+    use std::collections::VecDeque;
+
+    /// The ledger as it was first written, kept as the oracle: a deque
+    /// walked from the front on every reservation.
+    #[derive(Default)]
+    struct RefLedger {
+        busy: VecDeque<(u64, u64)>,
+        strict: bool,
+        watermark: u64,
+    }
+
+    impl RefLedger {
+        fn reserve(&mut self, earliest: u64, len: u64) -> u64 {
+            if self.strict {
+                let t = earliest.max(self.watermark);
+                self.watermark = t + len;
+                return t;
+            }
+            let mut t = earliest;
+            let mut pos = self.busy.len();
+            for (i, &(s, e)) in self.busy.iter().enumerate() {
+                if e <= t {
+                    continue;
+                }
+                if s >= t + len {
+                    pos = i;
+                    break;
+                }
+                t = e;
+            }
+            if pos == self.busy.len() {
+                pos = self.busy.partition_point(|&(s, _)| s < t);
+            }
+            self.busy.insert(pos, (t, t + len));
+            t
+        }
+
+        fn prune(&mut self, horizon: u64) {
+            while let Some(&(_, e)) = self.busy.front() {
+                if e < horizon {
+                    self.busy.pop_front();
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// How a generated stream picks each reservation's earliest cycle.
+    #[derive(Clone, Copy, Debug)]
+    enum Stream {
+        /// A clock that creeps forward with small jitter either way.
+        NearMonotone,
+        /// Occasional bookings far ahead of the clock, then requests at it.
+        FarThenEarly,
+        /// Even starts and widths, so slots abut and gaps fit exactly.
+        ExactFits,
+    }
+
+    /// What a stream exercised: compactions of the pruned prefix, grants
+    /// that filled a gap ahead of a later booking, and of those the ones
+    /// that ended exactly where that booking starts.
+    #[derive(Default)]
+    struct Coverage {
+        compactions: usize,
+        gap_fills: usize,
+        exact_fits: usize,
+    }
+
+    /// Drive the ledger and the oracle with one seeded stream, comparing
+    /// every granted start and the live interval list after every step.
+    fn against_oracle(stream: Stream, seed: u64, strict: bool, ops: usize) -> Coverage {
+        let mut ledger = if strict {
+            BusLedger::strict()
+        } else {
+            BusLedger::new()
+        };
+        let mut oracle = RefLedger {
+            strict,
+            ..RefLedger::default()
+        };
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut clock = 0u64;
+        let mut seen = Coverage::default();
+        for op in 0..ops {
+            let r = next();
+            clock += r % 9;
+            let (earliest, len) = match stream {
+                Stream::NearMonotone => {
+                    ((clock + (r >> 8) % 24).saturating_sub(8), 2 + (r >> 16) % 5)
+                }
+                Stream::FarThenEarly if (r >> 8) % 16 == 0 => (clock + 200 + (r >> 12) % 400, 8),
+                Stream::FarThenEarly => (clock + (r >> 12) % 6, 4 + (r >> 20) % 3),
+                Stream::ExactFits => ((clock + (r >> 8) % 16) & !1, 2 * (1 + (r >> 16) % 3)),
+            };
+            let want = oracle.reserve(earliest, len);
+            let got = ledger.reserve(earliest, len);
+            assert_eq!(
+                got, want,
+                "{stream:?} seed {seed} op {op}: reserve({earliest}, {len})"
+            );
+            let live = ledger.live();
+            if let Some(i) = live.iter().position(|&iv| iv == (got, got + len)) {
+                if let Some(&(next_start, _)) = live.get(i + 1) {
+                    seen.gap_fills += 1;
+                    seen.exact_fits += usize::from(next_start == got + len);
+                }
+            }
+            if (r >> 40) % 3 == 0 {
+                let horizon = clock.saturating_sub(40);
+                let before = ledger.head;
+                oracle.prune(horizon);
+                ledger.prune(horizon);
+                seen.compactions += usize::from(ledger.head < before);
+            }
+            assert!(
+                ledger.live().iter().eq(oracle.busy.iter()),
+                "{stream:?} seed {seed} op {op}: live intervals differ"
+            );
+        }
+        seen
+    }
+
+    #[test]
+    fn matches_front_walk_oracle_on_generated_streams() {
+        for stream in [
+            Stream::NearMonotone,
+            Stream::FarThenEarly,
+            Stream::ExactFits,
+        ] {
+            for seed in 1..=6 {
+                let seen = against_oracle(stream, seed, false, 5_000);
+                assert!(
+                    seen.compactions > 0,
+                    "{stream:?} seed {seed} never compacted"
+                );
+                assert!(
+                    seen.gap_fills > 0,
+                    "{stream:?} seed {seed} never filled a gap"
+                );
+                if matches!(stream, Stream::ExactFits) {
+                    assert!(seen.exact_fits > 0, "seed {seed} never fit a gap exactly");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strict_mode_matches_oracle_watermark() {
+        for stream in [
+            Stream::NearMonotone,
+            Stream::FarThenEarly,
+            Stream::ExactFits,
+        ] {
+            against_oracle(stream, 9, true, 2_000);
+        }
+    }
 
     #[test]
     fn sequential_reservations_pack_tightly() {

@@ -131,7 +131,8 @@ impl MemorySystem {
     }
 
     /// Close the books: bill trailing background and refresh energy.
-    /// Idempotent per end cycle; must be called before [`Self::energy`].
+    /// Must be called exactly once, before [`Self::energy`]; a second call
+    /// panics ("memory system already finalized").
     pub fn finalize(&mut self, end_cycle: u64) {
         assert!(
             self.finalized_at.is_none(),

@@ -279,7 +279,12 @@ fn proc_thread_and_rss() -> (u64, u64) {
         if let Some(rest) = line.strip_prefix("Threads:") {
             threads = rest.trim().parse().unwrap_or(0);
         } else if let Some(rest) = line.strip_prefix("VmRSS:") {
-            rss = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
+            rss = rest
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .unwrap_or(0);
         }
     }
     (threads, rss)

@@ -306,11 +306,9 @@ fn handle_read(
                 // read the ack cannot miss a transition. The hub wakes
                 // this loop whenever a line lands for the subscriber.
                 let w = waker.clone();
-                let (id, rx) = engine
-                    .push_hub()
-                    .subscribe(Some(Arc::new(move || {
-                        let _ = w.wake();
-                    })));
+                let (id, rx) = engine.push_hub().subscribe(Some(Arc::new(move || {
+                    let _ = w.wake();
+                })));
                 let _ = write_line(&mut conn.outbox, &conn.resp);
                 conn.sub = Some((id, rx));
                 continue 'chunks;
@@ -401,7 +399,10 @@ fn close_conn(
     if flush_remaining && conn.pending() > 0 {
         conn.stream.prepare_blocking_flush();
         let pending = &conn.outbox[conn.outbox_written..];
-        let _ = conn.stream.write_all(pending).and_then(|()| conn.stream.flush());
+        let _ = conn
+            .stream
+            .write_all(pending)
+            .and_then(|()| conn.stream.flush());
     }
     free.push(idx);
 }
@@ -613,7 +614,11 @@ pub(crate) fn serve_evented(
         let guard = ConnGuard(Arc::clone(&active));
         let shard = &shards[next % shards.len()];
         next += 1;
-        shard.inbox.lock().expect("inbox lock").push_back((stream, guard));
+        shard
+            .inbox
+            .lock()
+            .expect("inbox lock")
+            .push_back((stream, guard));
         let _ = shard.waker.wake();
     };
 

@@ -163,7 +163,10 @@ impl PushHub {
     /// queued, so an event loop parked in `poll` drains promptly. Returns
     /// the subscription id (for [`PushHub::unsubscribe`]) and the queue's
     /// receiving end.
-    pub fn subscribe(&self, wake: Option<Arc<dyn Fn() + Send + Sync>>) -> (u64, Receiver<Arc<str>>) {
+    pub fn subscribe(
+        &self,
+        wake: Option<Arc<dyn Fn() + Send + Sync>>,
+    ) -> (u64, Receiver<Arc<str>>) {
         let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_depth);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut subs = self.subs.lock().expect("push hub lock");

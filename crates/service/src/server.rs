@@ -236,8 +236,12 @@ pub(crate) fn process_line(
                         rpc::ok_response_open(resp, "checkpoint", engine.degraded());
                         resp.push_str("{\"path\":");
                         rpc::push_json_str(resp, &info.path.display().to_string());
-                        write!(resp, ",\"shards\":{},\"nodes\":{}}}", info.shards, info.nodes)
-                            .expect("write to String");
+                        write!(
+                            resp,
+                            ",\"shards\":{},\"nodes\":{}}}",
+                            info.shards, info.nodes
+                        )
+                        .expect("write to String");
                         rpc::ok_response_close(resp);
                     }
                     Err(e) => rpc::error_response_into(resp, &format!("checkpoint failed: {e}")),
@@ -608,7 +612,10 @@ fn serve_threaded(
             }
             let _ = std::fs::remove_file(&path);
             let listener = UnixListener::bind(&path)?;
-            eprintln!("eccparityd: listening on unix://{} (threads)", path.display());
+            eprintln!(
+                "eccparityd: listening on unix://{} (threads)",
+                path.display()
+            );
             for conn in listener.incoming() {
                 if stop.load(Ordering::SeqCst) {
                     break;
@@ -778,7 +785,11 @@ mod tests {
             );
             resp.clear();
             reader.read_line(&mut resp).unwrap();
-            assert!(resp.contains("\"op\":\"fleet\""), "[{}] {resp}", mode.name());
+            assert!(
+                resp.contains("\"op\":\"fleet\""),
+                "[{}] {resp}",
+                mode.name()
+            );
             assert!(resp.contains("\"events\":100"), "[{}] {resp}", mode.name());
             assert!(
                 resp.contains("\"degraded\":false"),
@@ -844,7 +855,11 @@ mod tests {
             );
             resp.clear();
             reader.read_line(&mut resp).unwrap();
-            assert!(resp.contains("\"op\":\"stats\""), "[{}] {resp}", mode.name());
+            assert!(
+                resp.contains("\"op\":\"stats\""),
+                "[{}] {resp}",
+                mode.name()
+            );
             assert!(
                 resp.contains("\"rejected_oversized\":1"),
                 "[{}] {resp}",
@@ -891,7 +906,11 @@ mod tests {
             w1.flush().unwrap();
             let mut resp = String::new();
             r1.read_line(&mut resp).unwrap();
-            assert!(resp.contains("\"op\":\"stats\""), "[{}] {resp}", mode.name());
+            assert!(
+                resp.contains("\"op\":\"stats\""),
+                "[{}] {resp}",
+                mode.name()
+            );
 
             let second = UnixStream::connect(&sock).unwrap();
             let mut r2 = BufReader::new(second);

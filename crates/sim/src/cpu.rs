@@ -74,7 +74,10 @@ impl CoreState {
         // freq_ghz x the 1 GHz memory clock.
         let core_cycles = gap as f64 / self.config.issue_width as f64;
         let mem_cycles = core_cycles / self.config.freq_ghz;
-        self.cycle += mem_cycles.ceil() as u64;
+        // ceil without `f64::ceil`, an out-of-line libm call on the
+        // baseline x86-64 target: exact for finite 0 <= x < 2^53.
+        let whole = mem_cycles as u64;
+        self.cycle += whole + u64::from((whole as f64) < mem_cycles);
         self.drain_completed();
     }
 
@@ -139,6 +142,27 @@ mod tests {
         // 400 instr / 2-wide / 2GHz = 100 memory cycles
         assert_eq!(core.cycle, 100);
         assert_eq!(core.instructions, 400);
+    }
+
+    #[test]
+    fn integer_ceil_matches_f64_ceil() {
+        for (issue_width, freq_ghz) in [(2, 2.0), (1, 1.0), (3, 2.0), (4, 1.6), (2, 3.3)] {
+            let config = CoreConfig {
+                issue_width,
+                freq_ghz,
+                ..CoreConfig::default()
+            };
+            let mut core = CoreState::new(config);
+            let mut expected = 0u64;
+            for gap in (0..2_000).chain([u32::MAX / 3, u32::MAX]) {
+                core.advance_instructions(gap);
+                expected += (gap as f64 / issue_width as f64 / freq_ghz).ceil() as u64;
+                assert_eq!(
+                    core.cycle, expected,
+                    "gap {gap} at {issue_width}-wide {freq_ghz} GHz"
+                );
+            }
+        }
     }
 
     #[test]

@@ -40,14 +40,6 @@ pub struct AccessOutcome {
     pub writeback: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    lru: u64,
-}
-
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LlcStats {
@@ -56,14 +48,25 @@ pub struct LlcStats {
     pub writebacks: u64,
 }
 
+/// Valid bit of a packed way tag.
+const VALID: u64 = 1 << 63;
+/// Dirty bit of a packed way tag.
+const DIRTY: u64 = 1 << 62;
+/// Largest line tag the packed layout holds. The highest region the scheme
+/// glue allocates from starts at `1 << 44`, far below this.
+const MAX_TAG: u64 = DIRTY - 1;
+
 /// The cache. Addresses are line-granular in units of `line_bytes`.
 ///
-/// Ways are stored as one flat array (`set * ways + way`) rather than a
-/// vec-of-vecs: the per-access set lookup is then a mask plus one offset
-/// with no second pointer chase, and a set's ways share cache lines.
+/// Ways are stored as two flat arrays indexed `set * ways + way`: packed
+/// tags (line tag in the low 62 bits, dirty in bit 62, valid in bit 63)
+/// and last-use stamps. A hit probe then reads one contiguous run of
+/// tags (128 B for 16 ways), and victim selection reads only the stamps.
 pub struct Llc {
     config: LlcConfig,
-    ways: Vec<Way>,
+    tags: Vec<u64>,
+    /// Last-use stamps; 0 marks a way never filled (the clock starts at 1).
+    lru: Vec<u64>,
     ways_per_set: usize,
     /// `nsets - 1`; set count is asserted to be a power of two.
     set_mask: u64,
@@ -77,7 +80,8 @@ impl Llc {
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
         Llc {
             config,
-            ways: vec![Way::default(); config.ways * nsets],
+            tags: vec![0; config.ways * nsets],
+            lru: vec![0; config.ways * nsets],
             ways_per_set: config.ways,
             set_mask: nsets as u64 - 1,
             clock: 0,
@@ -93,56 +97,54 @@ impl Llc {
         &self.stats
     }
 
-    fn set_base(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize * self.ways_per_set
+    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+        let base = (line & self.set_mask) as usize * self.ways_per_set;
+        base..base + self.ways_per_set
     }
 
     /// Access `line`; on miss, fill it (write-allocate). Returns hit status
     /// and any dirty victim.
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
+        assert!(
+            line <= MAX_TAG,
+            "line tag {line:#x} overflows the packed way"
+        );
         self.clock += 1;
-        let base = self.set_base(line);
-        let ways = &mut self.ways[base..base + self.ways_per_set];
-        let tag = line;
+        let set = self.set_range(line);
+        let tags = &mut self.tags[set.clone()];
+        let lru = &mut self.lru[set];
+        let dirty = if is_write { DIRTY } else { 0 };
         // hit?
-        for w in ways.iter_mut() {
-            if w.valid && w.tag == tag {
-                w.lru = self.clock;
-                w.dirty |= is_write;
-                self.stats.hits += 1;
-                return AccessOutcome {
-                    hit: true,
-                    writeback: None,
-                };
-            }
+        if let Some(w) = tags.iter().position(|&t| (t & !DIRTY) == (VALID | line)) {
+            tags[w] |= dirty;
+            lru[w] = self.clock;
+            self.stats.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                writeback: None,
+            };
         }
         self.stats.misses += 1;
-        // victim: invalid way or LRU
+        // Victim: the smallest stamp, first on a tie. Filled ways carry
+        // distinct stamps >= 1, so this is the first invalid way if there
+        // is one, else the LRU way.
         let mut victim = 0;
-        let mut best = u64::MAX;
-        for (i, w) in ways.iter().enumerate() {
-            if !w.valid {
-                victim = i;
-                break;
-            }
-            if w.lru < best {
-                best = w.lru;
+        let mut best = lru[0];
+        for (i, &stamp) in lru.iter().enumerate().skip(1) {
+            if stamp < best {
+                best = stamp;
                 victim = i;
             }
         }
-        let v = &mut ways[victim];
-        let writeback = if v.valid && v.dirty {
+        let old = tags[victim];
+        let writeback = if old & DIRTY != 0 {
             self.stats.writebacks += 1;
-            Some(v.tag)
+            Some(old & MAX_TAG)
         } else {
             None
         };
-        *v = Way {
-            valid: true,
-            dirty: is_write,
-            tag,
-            lru: self.clock,
-        };
+        tags[victim] = VALID | dirty | line;
+        lru[victim] = self.clock;
         AccessOutcome {
             hit: false,
             writeback,
@@ -151,19 +153,18 @@ impl Llc {
 
     /// Probe without modifying state (used by tests).
     pub fn contains(&self, line: u64) -> bool {
-        let base = self.set_base(line);
-        self.ways[base..base + self.ways_per_set]
+        self.tags[self.set_range(line)]
             .iter()
-            .any(|w| w.valid && w.tag == line)
+            .any(|&t| (t & !DIRTY) == (VALID | line))
     }
 
     /// Drain every dirty line (end-of-simulation flush). Returns their tags.
     pub fn flush_dirty(&mut self) -> Vec<u64> {
         let mut out = vec![];
-        for w in &mut self.ways {
-            if w.valid && w.dirty {
-                out.push(w.tag);
-                w.dirty = false;
+        for t in &mut self.tags {
+            if *t & DIRTY != 0 {
+                out.push(*t & MAX_TAG);
+                *t &= !DIRTY;
             }
         }
         out.sort_unstable();
@@ -239,6 +240,12 @@ mod tests {
         l.access(9, true); // hit, dirtied
         let dirty = l.flush_dirty();
         assert_eq!(dirty, vec![9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the packed way")]
+    fn tag_beyond_the_packed_range_is_rejected() {
+        small().access(DIRTY, false);
     }
 
     #[test]

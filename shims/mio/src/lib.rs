@@ -242,7 +242,12 @@ impl Poll {
     /// Start watching `source` for `interest`, tagging events `token`.
     /// The source must already be (and stay) open; it is identified by
     /// raw fd, so dropping it without [`Poll::deregister`] is a bug.
-    pub fn register(&self, source: &impl AsRawFd, token: Token, interest: Interest) -> io::Result<()> {
+    pub fn register(
+        &self,
+        source: &impl AsRawFd,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
         self.register_fd(source.as_raw_fd(), token, interest)
     }
 
@@ -260,7 +265,11 @@ impl Poll {
                 if regs.iter().any(|r| r.fd == fd) {
                     return Err(io::Error::from(io::ErrorKind::AlreadyExists));
                 }
-                regs.push(Reg { fd, token, interest });
+                regs.push(Reg {
+                    fd,
+                    token,
+                    interest,
+                });
                 Ok(())
             }
         }
@@ -492,17 +501,17 @@ mod tests {
     use std::os::unix::net::UnixStream;
 
     fn backends() -> Vec<Poll> {
-        let mut v = vec![];
         // Default backend (epoll on Linux), then the portable fallback,
         // constructed directly so the test does not mutate process env.
-        v.push(Poll::new().unwrap());
-        v.push(Poll {
-            backend: Backend::Poll {
-                regs: Mutex::new(Vec::new()),
+        vec![
+            Poll::new().unwrap(),
+            Poll {
+                backend: Backend::Poll {
+                    regs: Mutex::new(Vec::new()),
+                },
+                waker_read: AtomicI32::new(-1),
             },
-            waker_read: AtomicI32::new(-1),
-        });
-        v
+        ]
     }
 
     #[test]
@@ -514,11 +523,13 @@ mod tests {
             let mut events = Events::with_capacity(8);
 
             // Nothing pending: a zero timeout returns empty.
-            poll.poll(&mut events, Some(Duration::from_millis(0))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_millis(0)))
+                .unwrap();
             assert!(events.is_empty(), "{}", poll.backend_name());
 
             a.write_all(b"hi").unwrap();
-            poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
             let ev = events.iter().next().expect("readable event");
             assert_eq!(ev.token(), Token(7));
             assert!(ev.is_readable());
@@ -528,8 +539,11 @@ mod tests {
 
             // EOF must also read as readable so handlers observe it.
             drop(a);
-            poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert!(events.iter().any(|e| e.token() == Token(7) && e.is_readable()));
+            poll.poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(events
+                .iter()
+                .any(|e| e.token() == Token(7) && e.is_readable()));
             poll.deregister(&b).unwrap();
         }
     }
@@ -542,12 +556,14 @@ mod tests {
             poll.register(&a, Token(1), Interest::READABLE).unwrap();
             let mut events = Events::with_capacity(8);
             // Read-only interest: a writable-but-silent socket is quiet.
-            poll.poll(&mut events, Some(Duration::from_millis(0))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_millis(0)))
+                .unwrap();
             assert!(events.is_empty(), "{}", poll.backend_name());
             // Re-arm for writes: an empty send buffer fires immediately.
             poll.reregister(&a, Token(2), Interest::READABLE | Interest::WRITABLE)
                 .unwrap();
-            poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
             let ev = events.iter().next().expect("writable event");
             assert_eq!(ev.token(), Token(2));
             assert!(ev.is_writable());
@@ -568,11 +584,13 @@ mod tests {
             });
             let mut events = Events::with_capacity(4);
             let t0 = std::time::Instant::now();
-            poll.poll(&mut events, Some(Duration::from_secs(30))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_secs(30)))
+                .unwrap();
             assert!(t0.elapsed() < Duration::from_secs(10));
             assert!(events.iter().any(|e| e.token() == Token(0)));
             // The wake byte was drained: the next zero-timeout poll is quiet.
-            poll.poll(&mut events, Some(Duration::from_millis(0))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_millis(0)))
+                .unwrap();
             assert!(
                 !events.iter().any(|e| e.token() == Token(0)),
                 "{}",
@@ -591,7 +609,8 @@ mod tests {
                 waker.wake().unwrap();
             }
             let mut events = Events::with_capacity(4);
-            poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
             assert!(events.iter().any(|e| e.token() == Token(9)));
         }
     }

@@ -236,7 +236,10 @@ fn multiplexed_ingest(target: &Target, bufs: Vec<Vec<u8>>) {
     }
     while remaining > 0 {
         let mut events = Events::with_capacity(64);
-        if poll.poll(&mut events, Some(Duration::from_secs(10))).is_err() {
+        if poll
+            .poll(&mut events, Some(Duration::from_secs(10)))
+            .is_err()
+        {
             continue;
         }
         for ev in events.iter() {
@@ -317,7 +320,10 @@ fn write_bench_json(path: &std::path::Path, label: &str, fields: &[(&str, u64)])
         eprintln!("eccparity-loadgen: cannot write {}: {e}", path.display());
         std::process::exit(1);
     });
-    println!("loadgen: bench results for `{label}` merged into {}", path.display());
+    println!(
+        "loadgen: bench results for `{label}` merged into {}",
+        path.display()
+    );
 }
 
 fn main() {

@@ -203,7 +203,9 @@ fn main() {
                 srv.io_mode = m;
             }
             "--io-shards" => srv.io_shards = parse_u64("--io-shards", args.next()).max(1) as usize,
-            "--push-queue" => cfg.push_queue = parse_u64("--push-queue", args.next()).max(1) as usize,
+            "--push-queue" => {
+                cfg.push_queue = parse_u64("--push-queue", args.next()).max(1) as usize
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("eccparityd: unknown flag `{other}`");
