@@ -154,11 +154,24 @@ fn bench_gf_kernels(c: &mut Criterion) {
         b.iter(|| black_box(rs.syndromes(black_box(&cw))))
     });
     g.finish();
+
+    // Check symbols of one 32-byte word with four roots, the 36-device
+    // chipkill word: the bit-serial LFSR against the table-driven linear
+    // encoder the Reed–Solomon codecs run.
+    let word = &data[..32];
+    let checks = Chipkill36::new().check_map();
+    let mut g = c.benchmark_group("rs_encode");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("lfsr", |b| b.iter(|| black_box(rs.encode(black_box(word)))));
+    g.bench_function("linear_table", |b| {
+        b.iter(|| black_box(checks.apply(black_box(word))))
+    });
+    g.finish();
 }
 
 /// Batched codec entry points against their per-line equivalents, in
-/// lines/s: the RS lane-parallel encode/syndromes, and a full codec
-/// (`Chipkill36::encode_lines`) the memory write path actually calls.
+/// lines/s: the RS lane-parallel encode/syndromes, and a full codec's
+/// `encode_lines`, which is the per-line default over the table encoder.
 fn bench_batched(c: &mut Criterion) {
     use ecc_codes::gf::Gf256;
     use ecc_codes::rs::ReedSolomon;

@@ -312,17 +312,6 @@ impl HealthTable {
         &self.retired
     }
 
-    /// Per-pair error counters, indexed `channel * pairs_per_channel + pair`
-    /// (snapshot for monotonicity auditing).
-    pub fn counters_snapshot(&self) -> Vec<u8> {
-        self.counters.clone()
-    }
-
-    /// Per-pair faulty flags, same indexing as [`Self::counters_snapshot`].
-    pub fn faulty_snapshot(&self) -> Vec<bool> {
-        self.faulty.clone()
-    }
-
     /// All faulty pairs.
     pub fn faulty_pairs(&self) -> Vec<PairId> {
         let mut out = vec![];
@@ -526,8 +515,8 @@ mod tests {
         let json = serde_json::to_string(&h).unwrap();
         let mut back: HealthTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back.threshold(), h.threshold());
-        assert_eq!(back.counters_snapshot(), h.counters_snapshot());
-        assert_eq!(back.faulty_snapshot(), h.faulty_snapshot());
+        assert_eq!(back.counters(), h.counters());
+        assert_eq!(back.faulty_flags(), h.faulty_flags());
         assert_eq!(back.retired_pages(), h.retired_pages());
         assert!(back.is_faulty(1, 4) && back.is_faulty(1, 5));
         assert!(!back.is_faulty(2, 0));

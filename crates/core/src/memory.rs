@@ -24,9 +24,10 @@
 use crate::events::{CorrectionPath, EventLog, MemEvent};
 use crate::health::{HealthAction, HealthTable};
 use crate::layout::{GroupId, LineLoc, ParityLayout};
-use ecc_codes::traits::{CorrectionSplit, DetectOutcome, Region};
+use ecc_codes::traits::{ChipSpan, CorrectionSplit, DetectOutcome, Region};
 use mem_faults::FaultInstance;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Shape and policy knobs of a [`ParityMemory`].
@@ -174,6 +175,9 @@ struct StoredLine {
 /// The functional ECC-Parity memory (see module docs).
 pub struct ParityMemory<S: CorrectionSplit> {
     ecc: S,
+    /// `ecc.chip_layout()`, built once: every device read under a fault
+    /// overlay walks it.
+    chip_layout: Vec<Vec<ChipSpan>>,
     cfg: ParityConfig,
     layout: ParityLayout,
     health: HealthTable,
@@ -215,6 +219,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
             .collect();
         ParityMemory {
             health: HealthTable::new(cfg.channels, cfg.banks_per_channel, cfg.threshold),
+            chip_layout: ecc.chip_layout(),
             ecc,
             cfg,
             layout,
@@ -317,9 +322,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
     /// lies outside this memory instead of panicking.
     pub fn try_inject_transient(&mut self, fault: FaultInstance) -> Result<(), MemError> {
         self.check_fault_channel(&fault)?;
-        let chips = self.ecc.chips_per_rank();
-        let layout = self.ecc.chip_layout();
-        let chip = fault.chip.chip % chips;
+        let chip = fault.chip.chip % self.ecc.chips_per_rank();
         for bank in 0..self.cfg.banks_per_channel {
             for row in 0..self.cfg.data_rows {
                 for line in 0..self.cfg.lines_per_row {
@@ -335,7 +338,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                     self.parity(group);
                     let idx = self.idx(&loc);
                     let stored = &mut self.store[fault.chip.channel][idx];
-                    for span in &layout[chip] {
+                    for span in &self.chip_layout[chip] {
                         let buf: &mut [u8] = match span.region {
                             Region::Data => &mut stored.data[span.start..span.start + span.len],
                             Region::Detection => {
@@ -367,17 +370,18 @@ impl<S: CorrectionSplit> ParityMemory<S> {
     /// self-consistent, e.g. a checksum-aliasing corruption).
     pub fn raw_view(&self, channel: usize, loc: &LineLoc) -> Result<(Vec<u8>, Vec<u8>), MemError> {
         self.check_loc(channel, loc)?;
-        Ok(self.read_raw(channel, loc))
+        let (data, det) = self.read_raw(channel, loc);
+        Ok((data.into_owned(), det.into_owned()))
     }
 
     /// Raw device read: true contents plus fault-overlay corruption of the
-    /// byte spans owned by faulty devices.
-    fn read_raw(&self, channel: usize, loc: &LineLoc) -> (Vec<u8>, Vec<u8>) {
+    /// byte spans owned by faulty devices. The stored bytes are borrowed,
+    /// and copied only when a fault overlay covers the line.
+    fn read_raw(&self, channel: usize, loc: &LineLoc) -> (Cow<'_, [u8]>, Cow<'_, [u8]>) {
         let s = &self.store[channel][self.idx(loc)];
-        let mut data = s.data.clone();
-        let mut det = s.detection.clone();
+        let mut data = Cow::Borrowed(s.data.as_slice());
+        let mut det = Cow::Borrowed(s.detection.as_slice());
         let chips = self.ecc.chips_per_rank();
-        let layout = self.ecc.chip_layout();
         for f in &self.faults {
             if f.chip.channel != channel {
                 continue;
@@ -386,10 +390,10 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                 continue;
             }
             let chip = f.chip.chip % chips;
-            for span in &layout[chip] {
+            for span in &self.chip_layout[chip] {
                 let buf: &mut [u8] = match span.region {
-                    Region::Data => &mut data[span.start..span.start + span.len],
-                    Region::Detection => &mut det[span.start..span.start + span.len],
+                    Region::Data => &mut data.to_mut()[span.start..span.start + span.len],
+                    Region::Detection => &mut det.to_mut()[span.start..span.start + span.len],
                     // Correction bits are not stored inline under ECC Parity.
                     Region::Correction => continue,
                 };
@@ -511,14 +515,17 @@ impl<S: CorrectionSplit> ParityMemory<S> {
             if self.health.is_faulty(mc, mloc.bank) {
                 continue; // already out of the parity
             }
-            let (mdata, mdet) = self.read_raw(mc, &mloc);
+            let mcorr = {
+                let (mdata, mdet) = self.read_raw(mc, &mloc);
+                (self.ecc.detect(&mdata, &mdet) == DetectOutcome::Clean)
+                    .then(|| self.ecc.correction_of(&mdata))
+            };
             self.stats.reconstruction_reads += 1;
-            if self.ecc.detect(&mdata, &mdet) != DetectOutcome::Clean {
+            let Some(mcorr) = mcorr else {
                 // Two channels faulty at the same relative location and the
                 // second not yet migrated: the parity cannot help.
                 return Err(MemError::Uncorrectable);
-            }
-            let mcorr = self.ecc.correction_of(&mdata);
+            };
             for (a, b) in corr.iter_mut().zip(&mcorr) {
                 *a ^= b;
             }
@@ -664,11 +671,12 @@ impl<S: CorrectionSplit> ParityMemory<S> {
             return Err(MemError::RetiredPage);
         }
         self.stats.reads += 1;
-        let (mut data, det) = self.read_raw(channel, &loc);
         let faulty = self.health.is_faulty(channel, loc.bank); // step A1
+        let (data, det) = self.read_raw(channel, &loc);
         if self.ecc.detect(&data, &det) == DetectOutcome::Clean {
-            return Ok(data);
+            return Ok(data.into_owned());
         }
+        let (mut data, det) = (data.into_owned(), det.into_owned());
         self.stats.detected_errors += 1;
         let corr = if faulty {
             // Step B: the ECC line was read in parallel.
@@ -898,6 +906,8 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                         if self.ecc.detect(&data, &det) == DetectOutcome::Clean {
                             continue;
                         }
+                        // The line needs repair: take its bytes.
+                        let (mut data, det) = (data.into_owned(), det.into_owned());
                         report.errors_detected += 1;
                         if self.health.is_faulty(channel, bank) {
                             // Migrated banks stay in the scrub rotation,
@@ -913,12 +923,11 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                                 .get(&(channel, loc))
                                 .cloned()
                                 .unwrap_or_else(|| vec![0u8; self.ecc.correction_bytes()]);
-                            let mut d = data.clone();
-                            if self.ecc.correct(&mut d, &det, &corr, None).is_ok() {
-                                let fixed_det = self.ecc.detection_of(&d);
+                            if self.ecc.correct(&mut data, &det, &corr, None).is_ok() {
+                                let fixed_det = self.ecc.detection_of(&data);
                                 let idx = self.idx(&loc);
                                 self.store[channel][idx] = StoredLine {
-                                    data: d,
+                                    data,
                                     detection: fixed_det,
                                 };
                             } else {
@@ -951,8 +960,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                         let correctable = {
                             match self.reconstruct_correction(channel, &loc) {
                                 Ok(corr) => {
-                                    let mut d = data.clone();
-                                    match self.ecc.correct(&mut d, &det, &corr, None) {
+                                    match self.ecc.correct(&mut data, &det, &corr, None) {
                                         Ok(_) => {
                                             // Scrub repair: write the
                                             // corrected value back. Heals
@@ -960,7 +968,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                                             // permanent faults re-corrupt on
                                             // the next read (overlay).
                                             let idx = self.idx(&loc);
-                                            let fixed_det = self.ecc.detection_of(&d);
+                                            let fixed_det = self.ecc.detection_of(&data);
                                             // Keep parity consistent via the
                                             // write-path identity. The old
                                             // contribution is `corr` — what
@@ -970,7 +978,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                                             // transient may have corrupted
                                             // after the parity last saw
                                             // them.
-                                            let new_corr = self.ecc.correction_of(&d);
+                                            let new_corr = self.ecc.correction_of(&data);
                                             let group = self.layout.group_of(channel, &loc);
                                             let p = self.parity(group);
                                             for ((a, o), n) in
@@ -979,7 +987,7 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                                                 *a ^= o ^ n;
                                             }
                                             self.store[channel][idx] = StoredLine {
-                                                data: d,
+                                                data,
                                                 detection: fixed_det,
                                             };
                                             true

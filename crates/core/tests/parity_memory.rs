@@ -971,8 +971,8 @@ fn write_lines_matches_sequential_writes() {
         serial.health().retired_pages()
     );
     assert_eq!(
-        batched.health().faulty_snapshot(),
-        serial.health().faulty_snapshot()
+        batched.health().faulty_flags(),
+        serial.health().faulty_flags()
     );
     assert_eq!(
         serde_json::to_string(batched.event_log()).unwrap(),

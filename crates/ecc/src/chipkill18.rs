@@ -12,15 +12,22 @@
 //! to each role (4B + 4B per 64B line); the code is used as a whole for both.
 
 use crate::gf::Gf256;
+use crate::linear::LinearMap;
 use crate::rs::{ReedSolomon, RsError};
 use crate::traits::{
     ChipSpan, Codeword, CorrectOutcome, CorrectionSplit, DetectOutcome, EccError, MemoryEcc, Region,
 };
+use std::ops::Range;
+use std::sync::OnceLock;
 
 const DATA_SYMBOLS: usize = 16;
 const CHECK_SYMBOLS: usize = 2;
 const WORDS_PER_LINE: usize = 4;
 const LINE_BYTES: usize = DATA_SYMBOLS * WORDS_PER_LINE; // 64
+/// Check-symbol bytes of a word that are detection bits.
+const DETECTION: Range<usize> = 0..1;
+/// Check-symbol bytes of a word that are correction bits.
+const CORRECTION: Range<usize> = 1..2;
 
 /// 18-device commercial chipkill correct (see module docs).
 pub struct Chipkill18 {
@@ -41,22 +48,17 @@ impl Chipkill18 {
         }
     }
 
-    fn word_checks(&self, data: &[u8], w: usize) -> Vec<u8> {
-        let word = &data[w * DATA_SYMBOLS..(w + 1) * DATA_SYMBOLS];
-        self.rs.encode(word)
-    }
-
-    /// Check symbols of every word of every line via one lane-parallel
-    /// batched RS encode (generator nibble tables built once per batch).
-    fn batch_word_checks(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        let mut words = Vec::with_capacity(lines.len() * WORDS_PER_LINE);
-        for data in lines {
-            assert_eq!(data.len(), LINE_BYTES);
-            for w in 0..WORDS_PER_LINE {
-                words.push(&data[w * DATA_SYMBOLS..(w + 1) * DATA_SYMBOLS]);
-            }
-        }
-        self.rs.encode_lines(&words)
+    /// The table-driven encoder of one 16-byte word: byte `j` of its image,
+    /// little-endian, is check symbol `j` as [`ReedSolomon::encode`]
+    /// computes it. Built once per process, on first use.
+    pub fn check_map(&self) -> &'static LinearMap<u16> {
+        static CHECKS: OnceLock<LinearMap<u16>> = OnceLock::new();
+        CHECKS.get_or_init(|| {
+            LinearMap::from_fn(DATA_SYMBOLS, |word| {
+                let c = self.rs.encode(word);
+                u16::from_le_bytes([c[0], c[1]])
+            })
+        })
     }
 
     fn assemble(
@@ -126,53 +128,21 @@ impl MemoryEcc for Chipkill18 {
     }
 
     fn encode(&self, data: &[u8]) -> Codeword {
-        assert_eq!(data.len(), LINE_BYTES);
-        let mut detection = Vec::with_capacity(self.detection_bytes());
-        let mut correction = Vec::with_capacity(self.correction_bytes());
-        for w in 0..WORDS_PER_LINE {
-            let checks = self.word_checks(data, w);
-            detection.push(checks[0]);
-            correction.push(checks[1]);
-        }
         Codeword {
             data: data.to_vec(),
-            detection,
-            correction,
+            detection: self.detection_of(data),
+            correction: self.correction_of(data),
         }
-    }
-
-    fn encode_lines(&self, lines: &[&[u8]]) -> Vec<Codeword> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        lines
-            .iter()
-            .enumerate()
-            .map(|(i, data)| {
-                let mut detection = Vec::with_capacity(self.detection_bytes());
-                let mut correction = Vec::with_capacity(self.correction_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    let c = &checks[i * WORDS_PER_LINE + w];
-                    detection.push(c[0]);
-                    correction.push(c[1]);
-                }
-                Codeword {
-                    data: data.to_vec(),
-                    detection,
-                    correction,
-                }
-            })
-            .collect()
     }
 
     fn detect(&self, data: &[u8], detection: &[u8]) -> DetectOutcome {
         assert_eq!(data.len(), LINE_BYTES);
-        for (w, &det) in detection.iter().enumerate().take(WORDS_PER_LINE) {
-            let checks = self.word_checks(data, w);
-            if checks[0] != det {
-                return DetectOutcome::ErrorDetected;
-            }
+        assert_eq!(detection.len(), self.detection_bytes());
+        if self.check_map().matches(data, DETECTION, detection) {
+            DetectOutcome::Clean
+        } else {
+            DetectOutcome::ErrorDetected
         }
-        DetectOutcome::Clean
     }
 
     fn correct(
@@ -209,28 +179,14 @@ impl MemoryEcc for Chipkill18 {
 }
 
 impl CorrectionSplit for Chipkill18 {
-    fn correction_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        (0..lines.len())
-            .map(|i| {
-                (0..WORDS_PER_LINE)
-                    .map(|w| checks[i * WORDS_PER_LINE + w][1])
-                    .collect()
-            })
-            .collect()
+    fn correction_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), LINE_BYTES);
+        self.check_map().gather(data, CORRECTION)
     }
 
-    fn detection_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        (0..lines.len())
-            .map(|i| {
-                (0..WORDS_PER_LINE)
-                    .map(|w| checks[i * WORDS_PER_LINE + w][0])
-                    .collect()
-            })
-            .collect()
+    fn detection_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), LINE_BYTES);
+        self.check_map().gather(data, DETECTION)
     }
 }
 

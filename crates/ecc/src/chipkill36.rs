@@ -14,15 +14,22 @@
 //! and correction (Fig. 1 of the paper).
 
 use crate::gf::Gf256;
+use crate::linear::LinearMap;
 use crate::rs::{ReedSolomon, RsError};
 use crate::traits::{
     ChipSpan, Codeword, CorrectOutcome, CorrectionSplit, DetectOutcome, EccError, MemoryEcc, Region,
 };
+use std::ops::Range;
+use std::sync::OnceLock;
 
 const DATA_SYMBOLS: usize = 32;
 const CHECK_SYMBOLS: usize = 4;
 const WORDS_PER_LINE: usize = 4;
 const LINE_BYTES: usize = DATA_SYMBOLS * WORDS_PER_LINE; // 128
+/// Check-symbol bytes of a word that are detection bits.
+const DETECTION: Range<usize> = 0..2;
+/// Check-symbol bytes of a word that are correction bits.
+const CORRECTION: Range<usize> = 2..4;
 
 /// 36-device commercial chipkill correct (see module docs).
 pub struct Chipkill36 {
@@ -43,24 +50,17 @@ impl Chipkill36 {
         }
     }
 
-    /// Compute the four check symbols of word `w` from a data line.
-    fn word_checks(&self, data: &[u8], w: usize) -> Vec<u8> {
-        let word = &data[w * DATA_SYMBOLS..(w + 1) * DATA_SYMBOLS];
-        self.rs.encode(word)
-    }
-
-    /// Check symbols of every word of every line, lane-parallel: one
-    /// batched RS encode over `lines.len() * WORDS_PER_LINE` words, so the
-    /// generator nibble tables are built once for the whole batch.
-    fn batch_word_checks(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        let mut words = Vec::with_capacity(lines.len() * WORDS_PER_LINE);
-        for data in lines {
-            assert_eq!(data.len(), LINE_BYTES);
-            for w in 0..WORDS_PER_LINE {
-                words.push(&data[w * DATA_SYMBOLS..(w + 1) * DATA_SYMBOLS]);
-            }
-        }
-        self.rs.encode_lines(&words)
+    /// The table-driven encoder of one 32-byte word: byte `j` of its image,
+    /// little-endian, is check symbol `j` as [`ReedSolomon::encode`]
+    /// computes it. Built once per process, on first use.
+    pub fn check_map(&self) -> &'static LinearMap<u32> {
+        static CHECKS: OnceLock<LinearMap<u32>> = OnceLock::new();
+        CHECKS.get_or_init(|| {
+            LinearMap::from_fn(DATA_SYMBOLS, |word| {
+                let c = self.rs.encode(word);
+                u32::from_le_bytes([c[0], c[1], c[2], c[3]])
+            })
+        })
     }
 
     /// Assemble the full 36-symbol codeword of word `w`.
@@ -133,58 +133,21 @@ impl MemoryEcc for Chipkill36 {
     }
 
     fn encode(&self, data: &[u8]) -> Codeword {
-        assert_eq!(data.len(), LINE_BYTES);
-        let mut detection = Vec::with_capacity(self.detection_bytes());
-        let mut correction = Vec::with_capacity(self.correction_bytes());
-        for w in 0..WORDS_PER_LINE {
-            let checks = self.word_checks(data, w);
-            detection.push(checks[0]);
-            detection.push(checks[1]);
-            correction.push(checks[2]);
-            correction.push(checks[3]);
-        }
         Codeword {
             data: data.to_vec(),
-            detection,
-            correction,
+            detection: self.detection_of(data),
+            correction: self.correction_of(data),
         }
-    }
-
-    fn encode_lines(&self, lines: &[&[u8]]) -> Vec<Codeword> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        lines
-            .iter()
-            .enumerate()
-            .map(|(i, data)| {
-                let mut detection = Vec::with_capacity(self.detection_bytes());
-                let mut correction = Vec::with_capacity(self.correction_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    let c = &checks[i * WORDS_PER_LINE + w];
-                    detection.push(c[0]);
-                    detection.push(c[1]);
-                    correction.push(c[2]);
-                    correction.push(c[3]);
-                }
-                Codeword {
-                    data: data.to_vec(),
-                    detection,
-                    correction,
-                }
-            })
-            .collect()
     }
 
     fn detect(&self, data: &[u8], detection: &[u8]) -> DetectOutcome {
         assert_eq!(data.len(), LINE_BYTES);
         assert_eq!(detection.len(), self.detection_bytes());
-        for w in 0..WORDS_PER_LINE {
-            let checks = self.word_checks(data, w);
-            if checks[0] != detection[w * 2] || checks[1] != detection[w * 2 + 1] {
-                return DetectOutcome::ErrorDetected;
-            }
+        if self.check_map().matches(data, DETECTION, detection) {
+            DetectOutcome::Clean
+        } else {
+            DetectOutcome::ErrorDetected
         }
-        DetectOutcome::Clean
     }
 
     fn correct(
@@ -222,36 +185,14 @@ impl MemoryEcc for Chipkill36 {
 }
 
 impl CorrectionSplit for Chipkill36 {
-    fn correction_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        (0..lines.len())
-            .map(|i| {
-                let mut correction = Vec::with_capacity(self.correction_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    let c = &checks[i * WORDS_PER_LINE + w];
-                    correction.push(c[2]);
-                    correction.push(c[3]);
-                }
-                correction
-            })
-            .collect()
+    fn correction_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), LINE_BYTES);
+        self.check_map().gather(data, CORRECTION)
     }
 
-    fn detection_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        (0..lines.len())
-            .map(|i| {
-                let mut detection = Vec::with_capacity(self.detection_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    let c = &checks[i * WORDS_PER_LINE + w];
-                    detection.push(c[0]);
-                    detection.push(c[1]);
-                }
-                detection
-            })
-            .collect()
+    fn detection_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), LINE_BYTES);
+        self.check_map().gather(data, DETECTION)
     }
 }
 

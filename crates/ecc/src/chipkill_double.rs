@@ -13,15 +13,22 @@
 //! double-chipkill correction bits at `0.125/(N-1)` of data capacity.
 
 use crate::gf::Gf256;
+use crate::linear::LinearMap;
 use crate::rs::{ReedSolomon, RsError};
 use crate::traits::{
     ChipSpan, Codeword, CorrectOutcome, CorrectionSplit, DetectOutcome, EccError, MemoryEcc, Region,
 };
+use std::ops::Range;
+use std::sync::OnceLock;
 
 const DATA_SYMBOLS: usize = 32;
 const CHECK_SYMBOLS: usize = 8;
 const WORDS_PER_LINE: usize = 4;
 const LINE_BYTES: usize = DATA_SYMBOLS * WORDS_PER_LINE; // 128
+/// Check-symbol bytes of a word that are detection bits.
+const DETECTION: Range<usize> = 0..4;
+/// Check-symbol bytes of a word that are correction bits.
+const CORRECTION: Range<usize> = 4..8;
 
 /// Double chipkill correct over a 40-device rank (see module docs).
 pub struct ChipkillDouble {
@@ -42,22 +49,17 @@ impl ChipkillDouble {
         }
     }
 
-    fn word_checks(&self, data: &[u8], w: usize) -> Vec<u8> {
-        self.rs
-            .encode(&data[w * DATA_SYMBOLS..(w + 1) * DATA_SYMBOLS])
-    }
-
-    /// Check symbols of every word of every line via one lane-parallel
-    /// batched RS encode (generator nibble tables built once per batch).
-    fn batch_word_checks(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        let mut words = Vec::with_capacity(lines.len() * WORDS_PER_LINE);
-        for data in lines {
-            assert_eq!(data.len(), LINE_BYTES);
-            for w in 0..WORDS_PER_LINE {
-                words.push(&data[w * DATA_SYMBOLS..(w + 1) * DATA_SYMBOLS]);
-            }
-        }
-        self.rs.encode_lines(&words)
+    /// The table-driven encoder of one 32-byte word: byte `j` of its image,
+    /// little-endian, is check symbol `j` as [`ReedSolomon::encode`]
+    /// computes it. Built once per process, on first use.
+    pub fn check_map(&self) -> &'static LinearMap<u64> {
+        static CHECKS: OnceLock<LinearMap<u64>> = OnceLock::new();
+        CHECKS.get_or_init(|| {
+            LinearMap::from_fn(DATA_SYMBOLS, |word| {
+                let c = self.rs.encode(word);
+                u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
+            })
+        })
     }
 
     fn assemble(
@@ -127,52 +129,21 @@ impl MemoryEcc for ChipkillDouble {
     }
 
     fn encode(&self, data: &[u8]) -> Codeword {
-        assert_eq!(data.len(), LINE_BYTES);
-        let mut detection = Vec::with_capacity(self.detection_bytes());
-        let mut correction = Vec::with_capacity(self.correction_bytes());
-        for w in 0..WORDS_PER_LINE {
-            let checks = self.word_checks(data, w);
-            detection.extend_from_slice(&checks[..4]);
-            correction.extend_from_slice(&checks[4..]);
-        }
         Codeword {
             data: data.to_vec(),
-            detection,
-            correction,
+            detection: self.detection_of(data),
+            correction: self.correction_of(data),
         }
-    }
-
-    fn encode_lines(&self, lines: &[&[u8]]) -> Vec<Codeword> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        lines
-            .iter()
-            .enumerate()
-            .map(|(i, data)| {
-                let mut detection = Vec::with_capacity(self.detection_bytes());
-                let mut correction = Vec::with_capacity(self.correction_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    let c = &checks[i * WORDS_PER_LINE + w];
-                    detection.extend_from_slice(&c[..4]);
-                    correction.extend_from_slice(&c[4..]);
-                }
-                Codeword {
-                    data: data.to_vec(),
-                    detection,
-                    correction,
-                }
-            })
-            .collect()
     }
 
     fn detect(&self, data: &[u8], detection: &[u8]) -> DetectOutcome {
-        for w in 0..WORDS_PER_LINE {
-            let checks = self.word_checks(data, w);
-            if checks[..4] != detection[w * 4..(w + 1) * 4] {
-                return DetectOutcome::ErrorDetected;
-            }
+        assert_eq!(data.len(), LINE_BYTES);
+        assert_eq!(detection.len(), self.detection_bytes());
+        if self.check_map().matches(data, DETECTION, detection) {
+            DetectOutcome::Clean
+        } else {
+            DetectOutcome::ErrorDetected
         }
-        DetectOutcome::Clean
     }
 
     fn correct(
@@ -211,32 +182,14 @@ impl MemoryEcc for ChipkillDouble {
 }
 
 impl CorrectionSplit for ChipkillDouble {
-    fn correction_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        (0..lines.len())
-            .map(|i| {
-                let mut correction = Vec::with_capacity(self.correction_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    correction.extend_from_slice(&checks[i * WORDS_PER_LINE + w][4..]);
-                }
-                correction
-            })
-            .collect()
+    fn correction_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), LINE_BYTES);
+        self.check_map().gather(data, CORRECTION)
     }
 
-    fn detection_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        crate::traits::record_batch(lines.len());
-        let checks = self.batch_word_checks(lines);
-        (0..lines.len())
-            .map(|i| {
-                let mut detection = Vec::with_capacity(self.detection_bytes());
-                for w in 0..WORDS_PER_LINE {
-                    detection.extend_from_slice(&checks[i * WORDS_PER_LINE + w][..4]);
-                }
-                detection
-            })
-            .collect()
+    fn detection_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), LINE_BYTES);
+        self.check_map().gather(data, DETECTION)
     }
 }
 

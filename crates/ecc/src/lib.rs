@@ -26,9 +26,11 @@
 //!
 //! The underlying machinery — [`gf`] (GF(2^8) and GF(2^16) arithmetic),
 //! [`gfsimd`] (SIMD 4-bit split-table fixed-multiplier kernels with runtime
-//! CPU dispatch) and [`rs`] (a systematic Reed–Solomon encoder and
+//! CPU dispatch), [`rs`] (a systematic Reed–Solomon encoder and
 //! errors-and-erasures decoder with slice-by-4 and lane-parallel batched
-//! evaluation) — is general and independently tested.
+//! evaluation) and [`linear`] (the table-driven encoder every Reed–Solomon
+//! codec computes its check symbols with) — is general and independently
+//! tested.
 
 #![warn(missing_docs)]
 
@@ -39,6 +41,7 @@ pub mod chipkill36;
 pub mod chipkill_double;
 pub mod gf;
 pub mod gfsimd;
+pub mod linear;
 pub mod lotecc;
 pub mod multiecc;
 pub mod overhead;

@@ -25,10 +25,13 @@
 
 use crate::checksum::{checksum16, checksum8};
 use crate::gf::Gf65536;
+use crate::linear::LinearMap;
 use crate::rs::ReedSolomon;
 use crate::traits::{
     ChipSpan, Codeword, CorrectOutcome, CorrectionSplit, DetectOutcome, EccError, MemoryEcc, Region,
 };
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Which LOT-ECC rank organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,6 +292,11 @@ pub struct LotEcc5Rs {
 
 const RS5_WORDS: usize = 4; // 4 words of 8 sixteen-bit symbols = 64B
 const RS5_SYMS: usize = 8;
+const RS5_WORD_BYTES: usize = 2 * RS5_SYMS;
+/// Stored check bytes of a word that are detection bits (check symbol #1).
+const DETECTION: Range<usize> = 0..2;
+/// Stored check bytes of a word that are correction bits (check symbol #2).
+const CORRECTION: Range<usize> = 2..4;
 
 impl Default for LotEcc5Rs {
     fn default() -> Self {
@@ -302,6 +310,21 @@ impl LotEcc5Rs {
         Self {
             rs: ReedSolomon::new(2),
         }
+    }
+
+    /// The table-driven encoder of one 16-byte word: its image, as
+    /// little-endian bytes, is the word's two GF(2^16) check symbols as
+    /// [`ReedSolomon::encode`] computes them, each stored big-endian.
+    /// Built once per process, on first use.
+    pub fn check_map(&self) -> &'static LinearMap<u32> {
+        static CHECKS: OnceLock<LinearMap<u32>> = OnceLock::new();
+        CHECKS.get_or_init(|| {
+            LinearMap::from_fn(RS5_WORD_BYTES, |word| {
+                let c = self.rs.encode(&Self::word_symbols(word, 0));
+                let ([a, b], [x, y]) = (c[0].to_be_bytes(), c[1].to_be_bytes());
+                u32::from_le_bytes([a, b, x, y])
+            })
+        })
     }
 
     /// Data symbols of word `w`; symbol `j` lives on chip `j % 4`.
@@ -327,15 +350,14 @@ impl LotEcc5Rs {
 
     /// The 16 data bytes chip `c` contributes to the line (symbols j with
     /// j % 4 == c across all words).
-    fn chip_bytes(data: &[u8], c: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
+    fn chip_bytes(data: &[u8], c: usize) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        let mut k = 0;
         for w in 0..RS5_WORDS {
-            for j in 0..RS5_SYMS {
-                if Self::chip_of_symbol(j) == c {
-                    let off = w * 16 + j * 2;
-                    out.push(data[off]);
-                    out.push(data[off + 1]);
-                }
+            for j in (c..RS5_SYMS).step_by(4) {
+                let off = w * 16 + j * 2;
+                out[k..k + 2].copy_from_slice(&data[off..off + 2]);
+                k += 2;
             }
         }
         out
@@ -393,34 +415,21 @@ impl MemoryEcc for LotEcc5Rs {
     }
 
     fn encode(&self, data: &[u8]) -> Codeword {
-        assert_eq!(data.len(), 64);
-        let mut detection = Vec::with_capacity(self.detection_bytes());
-        let mut correction = Vec::with_capacity(self.correction_bytes());
-        for w in 0..RS5_WORDS {
-            let syms = Self::word_symbols(data, w);
-            let checks = self.rs.encode(&syms);
-            detection.extend(checks[0].to_be_bytes());
-            correction.extend(checks[1].to_be_bytes());
-        }
-        for c in 0..4 {
-            correction.extend(checksum16(&Self::chip_bytes(data, c)).to_be_bytes());
-        }
         Codeword {
             data: data.to_vec(),
-            detection,
-            correction,
+            detection: self.detection_of(data),
+            correction: self.correction_of(data),
         }
     }
 
     fn detect(&self, data: &[u8], detection: &[u8]) -> DetectOutcome {
-        for w in 0..RS5_WORDS {
-            let syms = Self::word_symbols(data, w);
-            let checks = self.rs.encode(&syms);
-            if checks[0].to_be_bytes() != detection[w * 2..w * 2 + 2] {
-                return DetectOutcome::ErrorDetected;
-            }
+        assert_eq!(data.len(), 64);
+        assert_eq!(detection.len(), self.detection_bytes());
+        if self.check_map().matches(data, DETECTION, detection) {
+            DetectOutcome::Clean
+        } else {
+            DetectOutcome::ErrorDetected
         }
-        DetectOutcome::Clean
     }
 
     fn correct(
@@ -493,7 +502,21 @@ impl MemoryEcc for LotEcc5Rs {
     }
 }
 
-impl CorrectionSplit for LotEcc5Rs {}
+impl CorrectionSplit for LotEcc5Rs {
+    fn correction_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), 64);
+        let mut out = self.check_map().gather(data, CORRECTION);
+        for c in 0..4 {
+            out.extend(checksum16(&Self::chip_bytes(data, c)).to_be_bytes());
+        }
+        out
+    }
+
+    fn detection_of(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), 64);
+        self.check_map().gather(data, DETECTION)
+    }
+}
 
 #[cfg(test)]
 mod tests {

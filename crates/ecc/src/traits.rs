@@ -136,10 +136,10 @@ pub trait MemoryEcc: Send + Sync {
     fn encode(&self, data: &[u8]) -> Codeword;
 
     /// Encode a batch of data lines at once. Semantically exactly
-    /// `lines.iter().map(|l| self.encode(l))` — the default does just that —
-    /// but schemes built on Reed–Solomon override it with lane-parallel
-    /// kernels so table/context setup is amortized across the whole batch
-    /// (see [`crate::rs::ReedSolomon::encode_lines`]).
+    /// `lines.iter().map(|l| self.encode(l))`, and the default does just
+    /// that. No scheme in this crate overrides it: the Reed–Solomon codecs
+    /// encode through a per-process table ([`crate::linear::LinearMap`]),
+    /// so a batch has no setup left to amortize.
     ///
     /// Implementations (including overrides) call [`record_batch`] once per
     /// invocation so the `codec.batch.lines` counter and batch-size
@@ -202,9 +202,9 @@ pub trait CorrectionSplit: MemoryEcc {
     }
 
     /// Correction bits of a whole batch of clean lines; semantically
-    /// `lines.iter().map(|l| self.correction_of(l))`. Overridden by
-    /// Reed–Solomon schemes to run lane-parallel. Implementations call
-    /// [`record_batch`] once per invocation.
+    /// `lines.iter().map(|l| self.correction_of(l))`, which is what every
+    /// scheme in this crate runs. Implementations call [`record_batch`]
+    /// once per invocation.
     fn correction_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
         record_batch(lines.len());
         lines.iter().map(|l| self.correction_of(l)).collect()

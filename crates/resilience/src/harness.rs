@@ -136,9 +136,10 @@ impl SoakConfig {
     }
 }
 
-/// Monotonicity monitor over [`ecc_parity::HealthTable`] snapshots: error
+/// Monotonicity monitor over [`ecc_parity::HealthTable`] state: error
 /// counters never decrease, faulty marks never clear, the retired-page set
-/// only grows.
+/// only grows. Each check compares the table's own slices and set with the
+/// last ones seen, then copies them into buffers it reuses.
 #[derive(Debug)]
 struct HealthMonitor {
     counters: Vec<u8>,
@@ -149,39 +150,39 @@ struct HealthMonitor {
 
 impl HealthMonitor {
     fn new(mem: &ParityMemory<Box<dyn CorrectionSplit>>) -> Self {
+        let health = mem.health();
         HealthMonitor {
-            counters: mem.health().counters_snapshot(),
-            faulty: mem.health().faulty_snapshot(),
-            retired: mem.health().retired_pages().into_iter().collect(),
+            counters: health.counters().to_vec(),
+            faulty: health.faulty_flags().to_vec(),
+            retired: health.retired().clone(),
             violations: 0,
         }
     }
 
     fn check(&mut self, mem: &ParityMemory<Box<dyn CorrectionSplit>>) {
-        let counters = mem.health().counters_snapshot();
-        let faulty = mem.health().faulty_snapshot();
-        let retired: HashSet<(usize, usize, u32)> =
-            mem.health().retired_pages().into_iter().collect();
-        if counters
+        let health = mem.health();
+        if health
+            .counters()
             .iter()
             .zip(&self.counters)
             .any(|(now, before)| now < before)
         {
             self.violations += 1;
         }
-        if faulty
+        if health
+            .faulty_flags()
             .iter()
             .zip(&self.faulty)
             .any(|(now, before)| *before && !*now)
         {
             self.violations += 1;
         }
-        if !self.retired.is_subset(&retired) {
+        if !self.retired.is_subset(health.retired()) {
             self.violations += 1;
         }
-        self.counters = counters;
-        self.faulty = faulty;
-        self.retired = retired;
+        self.counters.clone_from_slice(health.counters());
+        self.faulty.clone_from_slice(health.faulty_flags());
+        self.retired.clone_from(health.retired());
     }
 }
 
