@@ -621,7 +621,6 @@ fn apply_batch(inner: &EngineInner, shard: usize, state: &mut ShardState, bytes:
             }
             Err(_) => {
                 inner.batch_panics.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("service.shard_panics").inc();
                 obs::counter!("service.shard.batch_panics").inc();
                 let consumed_this_attempt = state.lines_consumed() - before_lines;
                 if consumed_this_attempt == 0 && attempt <= inner.cfg.batch_retries {
@@ -792,7 +791,7 @@ fn run_checkpoint_timer(inner: Arc<EngineInner>) {
                     obs::counter!("service.checkpoint.auto").inc();
                     if obs::trace::enabled() {
                         obs::trace::event(
-                            "service.checkpoint_auto",
+                            "service.checkpoint.auto",
                             &[("nodes", obs::trace::Value::U64(info.nodes))],
                         );
                     }

@@ -12,19 +12,19 @@
 //! Mechanics:
 //!
 //! - The accept loop (the `serve_evented` caller thread) admits
-//!   connections against the shared [`ConnCount`] cap, flips them
+//!   connections against the shared `ConnCount` cap, flips them
 //!   nonblocking, and hands them round-robin to loop shards through a
 //!   small injection queue + [`mio::Waker`] nudge.
 //! - Each loop thread owns a [`mio::Poll`] (level-triggered `epoll`, or
 //!   portable `poll(2)` under `ECC_PARITY_FORCE_POLL=1`) and a slab of
 //!   connections indexed by token. Request bytes run through the same
-//!   [`LineBuf`] reassembly and [`process_line`] state machine as the
+//!   `LineBuf` reassembly and `process_line` state machine as the
 //!   threaded mode — responses are byte-identical by construction.
 //! - Writes never block the loop: responses land in a per-connection
-//!   outbox that drains on writability. Past [`OUTBOX_HIGH_WATER`]
+//!   outbox that drains on writability. Past `OUTBOX_HIGH_WATER`
 //!   pending bytes the connection's *read* interest is dropped
 //!   (backpressure instead of unbounded buffering) and re-armed below
-//!   [`OUTBOX_LOW_WATER`].
+//!   `OUTBOX_LOW_WATER`.
 //! - `subscribe`d connections get their push lines copied into the same
 //!   outbox; a subscriber whose outbox is over the high watermark has
 //!   queued lines shed and counted (`service.push.shed`) rather than

@@ -273,9 +273,16 @@ fn query_from_value(v: &Value) -> Result<Query, String> {
 /// otherwise. Errors describe what was malformed (for the error response
 /// and the failure ledger; the line itself is never echoed back).
 pub fn parse_line(line: &[u8]) -> Result<Request, String> {
-    if let Some(ev) = fast_event(line) {
-        return Ok(Request::Event(ev));
+    match fast_event(line) {
+        Some(ev) => Ok(Request::Event(ev)),
+        None => parse_tolerant(line),
     }
+}
+
+/// The tolerant path alone: a full JSON parse of any request line. This
+/// is the definition of validity that [`fast_event`] and [`fast_route`]
+/// shortcut.
+pub fn parse_tolerant(line: &[u8]) -> Result<Request, String> {
     let text = std::str::from_utf8(line).map_err(|_| "line is not UTF-8".to_string())?;
     let v: Value = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
     match v.get("kind").and_then(Value::as_str) {

@@ -61,6 +61,32 @@ impl Geometry {
 /// Risk score at which a node counts as "at risk" in the fleet posture.
 pub const AT_RISK_PPM: u64 = 500_000;
 
+/// `(faulty pairs, retired pages, counter pressure)` of one health table:
+/// the three sums a node's risk score and the fleet aggregate are built
+/// from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RiskInputs {
+    faulty: u64,
+    retired: u64,
+    pressure: u64,
+}
+
+impl RiskInputs {
+    /// Read the three sums off `table` (one pass over its pairs).
+    fn of(table: &HealthTable) -> RiskInputs {
+        RiskInputs {
+            faulty: table.faulty_pair_count() as u64,
+            retired: table.retired_count() as u64,
+            pressure: table.active_counter_sum(),
+        }
+    }
+
+    /// The [`NodeHealth::risk_ppm`] formula.
+    fn risk_ppm(self) -> u64 {
+        (250_000 * self.faulty + 25_000 * self.retired + 10_000 * self.pressure).min(1_000_000)
+    }
+}
+
 /// One node's health state.
 #[derive(Debug, Clone)]
 pub struct NodeHealth {
@@ -76,6 +102,9 @@ pub struct NodeHealth {
     /// node whose best page cannot enter the current top-K. Derived
     /// state: never persisted, re-derived from `pages` on restore.
     max_ce: u32,
+    /// [`RiskInputs::of`] `table`, kept by `apply`. Derived state: never
+    /// persisted, re-derived from `table` on restore.
+    inputs: RiskInputs,
     /// Posture tier after the last applied event — the push channel's
     /// transition edge detector. Derived state: never persisted, and
     /// re-derived from `risk_ppm` on restore.
@@ -89,16 +118,45 @@ impl NodeHealth {
             events: 0,
             pages: BTreeMap::new(),
             max_ce: 0,
+            inputs: RiskInputs::default(),
             tier: Tier::Nominal,
         }
     }
 
+    /// A node rebuilt from its checkpointed snapshot, derived state and all.
+    fn restore(snap: NodeSnapshot) -> NodeHealth {
+        let inputs = RiskInputs::of(&snap.health);
+        NodeHealth {
+            table: snap.health,
+            events: snap.events,
+            max_ce: snap.pages.iter().map(|p| p.count).max().unwrap_or(0),
+            pages: snap
+                .pages
+                .into_iter()
+                .map(|p| ((p.channel, p.bank, p.row), p.count))
+                .collect(),
+            inputs,
+            // Tier is derived state: recompute so a resumed daemon only
+            // pushes transitions caused by post-resume events.
+            tier: Tier::of_risk(inputs.risk_ppm()),
+        }
+    }
+
     /// Apply one validated event (caller has bounds-checked channel/bank).
+    ///
+    /// `inputs` follows the table step by step: a pair below the threshold
+    /// is never faulty, so an error either adds one to the pressure or
+    /// migrates the pair, moving its `threshold - 1` errors out of the
+    /// pressure; a bank fault on a live pair moves its counter out.
     fn apply(&mut self, ev: &Event) {
         self.events += u64::from(ev.count);
         let (ch, bank) = (ev.channel as usize, ev.bank as usize);
         if ev.bank_fault {
             let pair = self.table.pair_of(ch, bank);
+            if !self.table.is_faulty(ch, bank) {
+                self.inputs.faulty += 1;
+                self.inputs.pressure -= u64::from(self.table.counter(pair));
+            }
             self.table.mark_faulty(pair);
             return;
         }
@@ -107,10 +165,18 @@ impl NodeHealth {
         self.max_ce = self.max_ce.max(*ce);
         for _ in 0..ev.count {
             match self.table.record_error(ch, bank) {
-                HealthAction::RetirePage => self.table.retire_page(ch, bank, ev.row),
-                HealthAction::MigratePair | HealthAction::AlreadyFaulty => {}
+                HealthAction::RetirePage => {
+                    self.inputs.pressure += 1;
+                    self.table.retire_page(ch, bank, ev.row);
+                }
+                HealthAction::MigratePair => {
+                    self.inputs.faulty += 1;
+                    self.inputs.pressure -= u64::from(self.table.threshold()) - 1;
+                }
+                HealthAction::AlreadyFaulty => break,
             }
         }
+        self.inputs.retired = self.table.retired_count() as u64;
     }
 
     /// Deterministic integer UE-risk score in parts-per-million.
@@ -120,28 +186,17 @@ impl NodeHealth {
     /// (non-migrated pairs walking toward the threshold) add linearly,
     /// saturating at 1.0.
     pub fn risk_ppm(&self) -> u64 {
-        let (faulty, retired, pressure) = self.risk_inputs();
-        risk_from(faulty, retired, pressure)
-    }
-
-    /// `(faulty pairs, retired pages, counter pressure)`, each read once.
-    fn risk_inputs(&self) -> (u64, u64, u64) {
-        (
-            self.table.faulty_pair_count() as u64,
-            self.table.retired_count() as u64,
-            self.table.active_counter_sum(),
-        )
+        self.inputs.risk_ppm()
     }
 
     fn view(&self, node: u64) -> NodeView {
-        let (faulty_pairs, retired_pages, active_counter_sum) = self.risk_inputs();
         NodeView {
             node,
-            risk_ppm: risk_from(faulty_pairs, retired_pages, active_counter_sum),
+            risk_ppm: self.risk_ppm(),
             events: self.events,
-            faulty_pairs,
-            retired_pages,
-            active_counter_sum,
+            faulty_pairs: self.inputs.faulty,
+            retired_pages: self.inputs.retired,
+            active_counter_sum: self.inputs.pressure,
         }
     }
 
@@ -175,11 +230,6 @@ impl NodeHealth {
             })
             .collect()
     }
-}
-
-/// The [`NodeHealth::risk_ppm`] formula over its three inputs.
-fn risk_from(faulty: u64, retired: u64, pressure: u64) -> u64 {
-    (250_000 * faulty + 25_000 * retired + 10_000 * pressure).min(1_000_000)
 }
 
 /// Rendered per-node summary.
@@ -679,9 +729,24 @@ impl ShardSnapshot {
 // ---- shard state -----------------------------------------------------------
 
 /// One shard's partition of the fleet: the state a shard worker owns.
+///
+/// Besides the nodes themselves it keeps two kinds of derived state, both
+/// rebuilt by [`ShardState::restore`] and never persisted: the node-derived
+/// fields of [`ShardState::agg`] as running totals, so a fleet query reads
+/// them instead of walking every node; and the node ids in ascending order,
+/// so `top_pages` and `snapshot` walk the partition without sorting it.
 pub struct ShardState {
     geom: Geometry,
-    nodes: HashMap<u64, NodeHealth>,
+    /// The partition's nodes, in arrival order.
+    slab: Vec<NodeHealth>,
+    /// Node id → index into `slab`.
+    slots: HashMap<u64, usize>,
+    /// `(node id, slab index)` for every node, ascending by id.
+    order: Vec<(u64, usize)>,
+    /// Running sums of `events`, `faulty_pairs`, `retired_pages`,
+    /// `active_counter_sum` and `at_risk_nodes` over the nodes; `agg`
+    /// fills in the rest.
+    totals: ShardAgg,
     /// Events applied this process-run.
     pub applied: u64,
     /// Lines applied successfully this process-run (an event line with
@@ -706,7 +771,10 @@ impl ShardState {
     pub fn new(geom: Geometry) -> ShardState {
         ShardState {
             geom,
-            nodes: HashMap::new(),
+            slab: Vec::new(),
+            slots: HashMap::new(),
+            order: Vec::new(),
+            totals: ShardAgg::default(),
             applied: 0,
             lines_ok: 0,
             rejected: 0,
@@ -716,30 +784,50 @@ impl ShardState {
         }
     }
 
-    /// Restore a partition from checkpointed node snapshots.
+    /// Restore a partition from checkpointed node snapshots, in any order.
+    /// A node id listed twice keeps its last snapshot.
     pub fn restore(geom: Geometry, snapshots: Vec<NodeSnapshot>) -> ShardState {
         let mut s = ShardState::new(geom);
+        s.slab.reserve(snapshots.len());
         for snap in snapshots {
-            let mut nh = NodeHealth::new(geom);
-            nh.events = snap.events;
-            nh.table = snap.health;
-            nh.max_ce = snap.pages.iter().map(|p| p.count).max().unwrap_or(0);
-            nh.pages = snap
-                .pages
-                .into_iter()
-                .map(|p| ((p.channel, p.bank, p.row), p.count))
-                .collect();
-            // Tier is derived state: recompute so a resumed daemon only
-            // pushes transitions caused by post-resume events.
-            nh.tier = Tier::of_risk(nh.risk_ppm());
-            s.nodes.insert(snap.node, nh);
+            let id = snap.node;
+            let nh = NodeHealth::restore(snap);
+            match s.slots.get(&id) {
+                Some(&slot) => s.slab[slot] = nh,
+                None => {
+                    let slot = s.slab.len();
+                    s.slots.insert(id, slot);
+                    s.order.push((id, slot));
+                    s.slab.push(nh);
+                }
+            }
+        }
+        // Checkpoints list nodes in id order; anything else is sorted here.
+        if !s.order.is_sorted() {
+            s.order.sort_unstable();
+        }
+        for nh in &s.slab {
+            s.totals.events += nh.events;
+            s.totals.faulty_pairs += nh.inputs.faulty;
+            s.totals.retired_pages += nh.inputs.retired;
+            s.totals.active_counter_sum += nh.inputs.pressure;
+            s.totals.at_risk_nodes += u64::from(nh.risk_ppm() >= AT_RISK_PPM);
         }
         s
     }
 
     /// Number of nodes in this partition.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.slab.len()
+    }
+
+    fn node(&self, id: u64) -> Option<&NodeHealth> {
+        self.slots.get(&id).map(|&slot| &self.slab[slot])
+    }
+
+    /// The partition's nodes, ascending by id.
+    fn in_id_order(&self) -> impl Iterator<Item = (u64, &NodeHealth)> {
+        self.order.iter().map(|&(id, slot)| (id, &self.slab[slot]))
     }
 
     /// Parse and apply one request line that was routed to this shard.
@@ -771,19 +859,36 @@ impl ShardState {
     }
 
     /// Apply a parsed event; `false` (rejected) when channel/bank fall
-    /// outside the configured geometry. A tier boundary crossed by the
-    /// event is recorded for [`ShardState::take_transitions`].
+    /// outside the configured geometry. The running totals move by the
+    /// node's change, and a tier boundary crossed by the event is
+    /// recorded for [`ShardState::take_transitions`].
     pub fn apply_event(&mut self, ev: &Event) -> bool {
         if ev.channel >= self.geom.channels || ev.bank >= self.geom.banks {
             return false;
         }
-        let geom = self.geom;
-        let nh = self
-            .nodes
-            .entry(ev.node)
-            .or_insert_with(|| NodeHealth::new(geom));
+        let slot = match self.slots.get(&ev.node) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.slab.len();
+                self.slab.push(NodeHealth::new(self.geom));
+                self.slots.insert(ev.node, slot);
+                let at = self.order.partition_point(|&(id, _)| id < ev.node);
+                self.order.insert(at, (ev.node, slot));
+                slot
+            }
+        };
+        let nh = &mut self.slab[slot];
+        let before = nh.inputs;
         nh.apply(ev);
-        let risk_ppm = nh.risk_ppm();
+        let after = nh.inputs;
+        let risk_ppm = after.risk_ppm();
+        let t = &mut self.totals;
+        t.events += u64::from(ev.count);
+        t.faulty_pairs = t.faulty_pairs - before.faulty + after.faulty;
+        t.retired_pages = t.retired_pages - before.retired + after.retired;
+        t.active_counter_sum = t.active_counter_sum - before.pressure + after.pressure;
+        t.at_risk_nodes = t.at_risk_nodes + u64::from(risk_ppm >= AT_RISK_PPM)
+            - u64::from(before.risk_ppm() >= AT_RISK_PPM);
         let to = Tier::of_risk(risk_ppm);
         if to != nh.tier {
             let from = std::mem::replace(&mut nh.tier, to);
@@ -805,35 +910,24 @@ impl ShardState {
 
     /// This shard's additive fleet aggregate.
     pub fn agg(&self) -> ShardAgg {
-        let mut a = ShardAgg {
-            nodes: self.nodes.len() as u64,
+        ShardAgg {
+            nodes: self.slab.len() as u64,
             applied: self.applied,
             rejected: self.rejected,
             rejected_parse: self.rejected_parse,
             rejected_geometry: self.rejected_geometry,
-            ..ShardAgg::default()
-        };
-        for nh in self.nodes.values() {
-            let (faulty, retired, pressure) = nh.risk_inputs();
-            a.events += nh.events;
-            a.faulty_pairs += faulty;
-            a.retired_pages += retired;
-            a.active_counter_sum += pressure;
-            if risk_from(faulty, retired, pressure) >= AT_RISK_PPM {
-                a.at_risk_nodes += 1;
-            }
+            ..self.totals
         }
-        a
     }
 
     /// Per-node view, if this shard knows the node.
     pub fn node_view(&self, node: u64) -> Option<NodeView> {
-        self.nodes.get(&node).map(|nh| nh.view(node))
+        self.node(node).map(|nh| nh.view(node))
     }
 
     /// Per-region recommendations, if this shard knows the node.
     pub fn recommend(&self, node: u64) -> Option<Vec<RegionRec>> {
-        self.nodes.get(&node).map(|nh| nh.recommend(self.geom))
+        self.node(node).map(|nh| nh.recommend(self.geom))
     }
 
     /// This shard's top-`k` at-risk pages: most errors first, then lowest
@@ -851,14 +945,11 @@ impl ShardState {
         if k == 0 {
             return Vec::new();
         }
-        let mut nodes: Vec<(u64, &NodeHealth)> =
-            self.nodes.iter().map(|(&id, nh)| (id, nh)).collect();
-        nodes.sort_unstable_by_key(|&(id, _)| id);
         // A max-heap of `PageKey`s keeps the worst entry kept on top.
         let mut heap: BinaryHeap<PageKey> =
             BinaryHeap::with_capacity(k.min(crate::rpc::MAX_TOP_K as usize));
         let mut skipped = 0u64;
-        for &(node, nh) in &nodes {
+        for (node, nh) in self.in_id_order() {
             if heap.len() == k && heap.peek().is_some_and(|w| nh.max_ce <= w.0 .0) {
                 skipped += 1;
                 continue;
@@ -875,7 +966,7 @@ impl ShardState {
             }
         }
         if obs::metrics::enabled() {
-            obs::counter!("service.top_pages.nodes_scanned").add(nodes.len() as u64 - skipped);
+            obs::counter!("service.top_pages.nodes_scanned").add(self.slab.len() as u64 - skipped);
             obs::counter!("service.top_pages.nodes_skipped").add(skipped);
         }
         heap.into_sorted_vec()
@@ -886,7 +977,9 @@ impl ShardState {
                 bank,
                 row,
                 ce,
-                retired: self.nodes[&node]
+                retired: self
+                    .node(node)
+                    .expect("a kept page's node")
                     .table
                     .is_retired(channel as usize, bank as usize, row),
             })
@@ -895,29 +988,24 @@ impl ShardState {
 
     /// Serialize this partition (nodes sorted by id).
     pub fn snapshot(&self, shard: u64) -> ShardSnapshot {
-        let mut ids: Vec<u64> = self.nodes.keys().copied().collect();
-        ids.sort_unstable();
         ShardSnapshot {
             shard,
-            nodes: ids
-                .into_iter()
-                .map(|node| {
-                    let nh = &self.nodes[&node];
-                    NodeSnapshot {
-                        node,
-                        events: nh.events,
-                        pages: nh
-                            .pages
-                            .iter()
-                            .map(|(&(channel, bank, row), &count)| PageCount {
-                                channel,
-                                bank,
-                                row,
-                                count,
-                            })
-                            .collect(),
-                        health: nh.table.clone(),
-                    }
+            nodes: self
+                .in_id_order()
+                .map(|(node, nh)| NodeSnapshot {
+                    node,
+                    events: nh.events,
+                    pages: nh
+                        .pages
+                        .iter()
+                        .map(|(&(channel, bank, row), &count)| PageCount {
+                            channel,
+                            bank,
+                            row,
+                            count,
+                        })
+                        .collect(),
+                    health: nh.table.clone(),
                 })
                 .collect(),
         }

@@ -7,56 +7,14 @@
 //! row) and truncate. The seeded event streams are built for ties — few
 //! distinct counts, rows reused across nodes and within a node — and mix
 //! in bank faults and retired pages. Each stream is checked live, after a
-//! snapshot/restore round trip, and as a merge of `node % n` partitions.
+//! snapshot/restore round trip (in id order and shuffled), and as a merge
+//! of `node % n` partitions.
 
+mod common;
+
+use common::{descending_arrivals, stream, Mix, Shape};
 use eccparity_service::rpc::{Event, MAX_TOP_K};
 use eccparity_service::state::{merge_top_pages, Geometry, PageRisk, ShardState};
-
-/// SplitMix64: a self-contained seeded generator for the streams.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// One generated stream's shape.
-struct Shape {
-    seed: u64,
-    geom: Geometry,
-    /// Distinct node ids drawn from (sparse, so hash order ≠ id order).
-    nodes: u64,
-    /// Distinct rows per bank (small → repeated pages → ties).
-    rows: u64,
-    /// Largest per-event count.
-    max_count: u64,
-    events: usize,
-    /// One event in `fault_every` is a whole-bank fault.
-    fault_every: u64,
-}
-
-fn stream(shape: &Shape) -> Vec<Event> {
-    let mut rng = Mix(shape.seed);
-    (0..shape.events)
-        .map(|_| Event {
-            node: rng.below(shape.nodes) * 7919 + 3,
-            channel: rng.below(u64::from(shape.geom.channels)) as u32,
-            bank: rng.below(u64::from(shape.geom.banks)) as u32,
-            row: rng.below(shape.rows) as u32,
-            count: 1 + rng.below(shape.max_count) as u32,
-            bank_fault: rng.below(shape.fault_every) == 0,
-        })
-        .collect()
-}
 
 /// The documented order, written out independently of the crate's.
 fn reference_order(a: &PageRisk, b: &PageRisk) -> std::cmp::Ordering {
@@ -97,9 +55,12 @@ fn ks(pages: usize) -> Vec<usize> {
 }
 
 fn check(shape: &Shape) {
-    let events = stream(shape);
+    check_events(shape, &stream(shape));
+}
+
+fn check_events(shape: &Shape, events: &[Event]) {
     let mut live = ShardState::new(shape.geom);
-    for ev in &events {
+    for ev in events {
         assert!(live.apply_event(ev), "generated events fit the geometry");
     }
     let reference = reference_all(&live);
@@ -110,11 +71,23 @@ fn check(shape: &Shape) {
         shape.seed
     );
     let restored = ShardState::restore(shape.geom, live.snapshot(0).nodes);
+    let mut shuffled_nodes = live.snapshot(0).nodes;
+    let mut rng = Mix(shape.seed ^ 0x5eed);
+    for i in (1..shuffled_nodes.len()).rev() {
+        shuffled_nodes.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let shuffled = ShardState::restore(shape.geom, shuffled_nodes);
+    assert_eq!(
+        shuffled.snapshot(0),
+        live.snapshot(0),
+        "seed {}",
+        shape.seed
+    );
     let partitions: Vec<(usize, Vec<ShardState>)> = [1usize, 3, 7]
         .into_iter()
         .map(|n| {
             let mut shards: Vec<ShardState> = (0..n).map(|_| ShardState::new(shape.geom)).collect();
-            for ev in &events {
+            for ev in events {
                 assert!(shards[(ev.node % n as u64) as usize].apply_event(ev));
             }
             (n, shards)
@@ -126,6 +99,7 @@ fn check(shape: &Shape) {
         let seed = shape.seed;
         assert_eq!(live.top_pages(k), want, "seed {seed} k {k}: live");
         assert_eq!(restored.top_pages(k), want, "seed {seed} k {k}: restored");
+        assert_eq!(shuffled.top_pages(k), want, "seed {seed} k {k}: shuffled");
         for (n, shards) in &partitions {
             let merged = merge_top_pages(shards.iter().map(|s| s.top_pages(k)).collect(), k);
             assert_eq!(merged, want, "seed {seed} k {k}: merged over {n} shards");
@@ -167,6 +141,35 @@ fn top_pages_matches_full_sort_at_default_geometry() {
             events: 20_000,
             fault_every: 211,
         });
+    }
+}
+
+#[test]
+fn top_pages_matches_full_sort_when_new_ids_arrive_descending() {
+    // Every new node enters the id order at its front, the opposite of
+    // the arrival order, so the kept order is built by insertion alone.
+    for seed in 200..204 {
+        let shape = Shape {
+            seed,
+            geom: Geometry::default(),
+            nodes: 300,
+            rows: 16,
+            max_count: 4,
+            events: 20_000,
+            fault_every: 211,
+        };
+        let mut events = stream(&shape);
+        descending_arrivals(&mut events);
+        let mut seen = std::collections::HashSet::new();
+        let mut lowest = u64::MAX;
+        for ev in &events {
+            if seen.insert(ev.node) {
+                assert!(ev.node < lowest, "seed {seed}: {} after {lowest}", ev.node);
+                lowest = ev.node;
+            }
+        }
+        assert!(seen.len() > 250, "seed {seed}: {} nodes", seen.len());
+        check_events(&shape, &events);
     }
 }
 
