@@ -1,25 +1,25 @@
-//! Readiness-driven front-end ([`crate::server::IoMode::Evented`]): every
-//! connection is multiplexed over [`ServerConfig::io_shards`] event-loop
-//! threads instead of owning a blocking thread.
+//! The daemon's connection machinery: every connection is multiplexed
+//! over [`ServerConfig::io_shards`] readiness-driven event-loop threads
+//! instead of owning a blocking thread.
 //!
-//! Why: the thread-per-connection model prices an *idle* fleet
-//! connection at one OS thread (~8 MiB of stack address space plus
-//! scheduler load), so 10k mostly-idle agents would need 10k threads.
-//! Here an idle connection is one registered file descriptor; the whole
-//! daemon runs on a handful of loop threads regardless of connection
-//! count.
+//! Why: a thread per connection prices an *idle* fleet connection at one
+//! OS thread (~8 MiB of stack address space plus scheduler load), so 10k
+//! mostly-idle agents would need 10k threads. Here an idle connection is
+//! one registered file descriptor; the whole daemon runs on a handful of
+//! loop threads regardless of connection count.
 //!
 //! Mechanics:
 //!
 //! - The accept loop (the `serve_evented` caller thread) admits
-//!   connections against the shared `ConnCount` cap, flips them
-//!   nonblocking, and hands them round-robin to loop shards through a
-//!   small injection queue + [`mio::Waker`] nudge.
+//!   connections against the admission cap, flips them nonblocking, and
+//!   hands them round-robin to loop shards through a small injection
+//!   queue + [`mio::Waker`] nudge. A connection over the cap gets its
+//!   refusal line in one nonblocking write on the accept thread.
 //! - Each loop thread owns a [`mio::Poll`] (level-triggered `epoll`, or
 //!   portable `poll(2)` under `ECC_PARITY_FORCE_POLL=1`) and a slab of
-//!   connections indexed by token. Request bytes run through the same
-//!   `LineBuf` reassembly and `process_line` state machine as the
-//!   threaded mode — responses are byte-identical by construction.
+//!   connections indexed by token. Request bytes run through the
+//!   `LineBuf` reassembly and `process_line` state machine of
+//!   [`crate::server`].
 //! - Writes never block the loop: responses land in a per-connection
 //!   outbox that drains on writability. Past `OUTBOX_HIGH_WATER`
 //!   pending bytes the connection's *read* interest is dropped
@@ -33,11 +33,19 @@
 //!   momentarily stalls the other connections on that loop shard: that
 //!   is the documented price of read-your-writes, and queries are rare
 //!   next to event traffic.
+//! - Shutdown is two steps. The loop that reads a `shutdown` request
+//!   wakes the accept loop, which sweeps the listen backlog one last time
+//!   and then tells every loop shard to finish. Nothing is dispatched
+//!   after that, so each loop adopts what is left in its queue, reads
+//!   and processes everything its connections have already sent, flushes
+//!   their routers and outboxes, and exits. Joining the loops is the
+//!   whole drain.
 
 use crate::engine::{Engine, RejectKind, Router};
+use crate::rpc;
 use crate::server::{
-    drain, oversized_refusal_into, process_line, refuse_conn, write_line, ConnCount, ConnGuard,
-    LineBuf, LineOutcome, Listen, Scan, ServerConfig, POLL_TICK, READ_CHUNK,
+    oversized_refusal_into, process_line, write_line, LineBuf, LineOutcome, Listen, Scan,
+    ServerConfig,
 };
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::VecDeque;
@@ -45,10 +53,23 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Resolution of the idle-connection sweep: with an idle timeout set,
+/// loops wake at least this often even when no client sends anything.
+const POLL_TICK: Duration = Duration::from_millis(200);
+
+/// Pause after an unexpected `accept()` error (EMFILE/ENFILE when the
+/// process fd budget is exhausted). Without it the accept loop spins hot
+/// on the persistently-failing accept and starves live connections.
+const ACCEPT_ERR_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Read chunk size.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Pending outbox bytes past which a connection's read interest is
 /// dropped (and a subscriber's push lines are shed).
@@ -57,8 +78,8 @@ pub(crate) const OUTBOX_HIGH_WATER: usize = 1 << 20;
 /// Pending outbox bytes below which read interest is re-armed.
 pub(crate) const OUTBOX_LOW_WATER: usize = 64 * 1024;
 
-/// Token reserved for the per-loop waker (connection slots use their
-/// slab index).
+/// Token reserved for a poller's waker (connection slots use their slab
+/// index; the accept poller's listener uses 0).
 const WAKER_TOKEN: Token = Token(usize::MAX);
 
 /// Readiness events fetched per poll call.
@@ -82,7 +103,7 @@ impl AsRawFd for Fd {
     }
 }
 
-/// A nonblocking accepted stream of either flavor.
+/// An accepted stream of either flavor.
 enum NbStream {
     Unix(UnixStream),
     Tcp(TcpStream),
@@ -96,19 +117,21 @@ impl NbStream {
         }
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        match self {
+            NbStream::Unix(s) => s.set_nonblocking(nonblocking),
+            NbStream::Tcp(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
     /// Flip back to blocking with a short write timeout, for the final
     /// best-effort outbox flush when a connection closes.
     fn prepare_blocking_flush(&self) {
-        match self {
-            NbStream::Unix(s) => {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_write_timeout(Some(CLOSE_FLUSH_TIMEOUT));
-            }
-            NbStream::Tcp(s) => {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_write_timeout(Some(CLOSE_FLUSH_TIMEOUT));
-            }
-        }
+        let _ = self.set_nonblocking(false);
+        let _ = match self {
+            NbStream::Unix(s) => s.set_write_timeout(Some(CLOSE_FLUSH_TIMEOUT)),
+            NbStream::Tcp(s) => s.set_write_timeout(Some(CLOSE_FLUSH_TIMEOUT)),
+        };
     }
 }
 
@@ -134,6 +157,74 @@ impl Write for NbStream {
             NbStream::Unix(s) => s.flush(),
             NbStream::Tcp(s) => s.flush(),
         }
+    }
+}
+
+/// The bound listening socket of either flavor.
+enum Listener {
+    /// Unix-domain listener and the socket file it removes on exit.
+    Unix(UnixListener, PathBuf),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    fn bind(listen: Listen) -> std::io::Result<Listener> {
+        let listener = match listen {
+            Listen::Unix(path) => {
+                if let Some(dir) = path.parent() {
+                    if !dir.as_os_str().is_empty() {
+                        std::fs::create_dir_all(dir)?;
+                    }
+                }
+                let _ = std::fs::remove_file(&path);
+                Listener::Unix(UnixListener::bind(&path)?, path)
+            }
+            Listen::Tcp(addr) => Listener::Tcp(TcpListener::bind(&addr)?),
+        };
+        match &listener {
+            Listener::Unix(l, _) => l.set_nonblocking(true)?,
+            Listener::Tcp(l) => l.set_nonblocking(true)?,
+        }
+        Ok(listener)
+    }
+
+    fn raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Unix(l, _) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+
+    /// `unix://PATH` or `tcp://HOST:PORT` (the bound port, for `:0`).
+    fn describe(&self) -> std::io::Result<String> {
+        Ok(match self {
+            Listener::Unix(_, path) => format!("unix://{}", path.display()),
+            Listener::Tcp(l) => format!("tcp://{}", l.local_addr()?),
+        })
+    }
+
+    /// Accept one pending connection, nonblocking.
+    fn accept(&self) -> std::io::Result<NbStream> {
+        let stream = match self {
+            Listener::Unix(l, _) => NbStream::Unix(l.accept()?.0),
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_nodelay(true);
+                NbStream::Tcp(s)
+            }
+        };
+        stream.set_nonblocking(true)?;
+        Ok(stream)
+    }
+}
+
+/// Holds one slot of the admission cap; frees it on drop, even if a
+/// loop thread panics.
+struct ConnGuard(Arc<AtomicUsize>);
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -193,6 +284,17 @@ impl Shard {
     }
 }
 
+/// The shutdown handshake between the loop shards and the accept loop.
+struct Stop {
+    /// A client asked for shutdown: the accept loop stops accepting.
+    requested: AtomicBool,
+    /// Wakes the accept loop's poller when `requested` is set.
+    accept_waker: Waker,
+    /// The accept loop has dispatched its last connection: loops drain
+    /// and exit.
+    closing: AtomicBool,
+}
+
 /// Flush as much of the outbox as the socket accepts right now.
 fn flush_outbox(conn: &mut Conn) -> Disposition {
     while conn.outbox_written < conn.outbox.len() {
@@ -247,19 +349,25 @@ fn sync_interest(poll: &Poll, idx: usize, conn: &mut Conn) {
     }
 }
 
-/// Drain readable bytes through the shared line state machine.
+/// Run readable bytes through the line state machine. In service a
+/// readiness event reads at most `MAX_CHUNKS_PER_EVENT` chunks and stops
+/// while the outbox is over the high watermark; the stop-time `drain`
+/// reads everything the client has already sent.
 fn handle_read(
     engine: &Engine,
     cfg: &ServerConfig,
     conn: &mut Conn,
     chunk: &mut [u8],
     waker: &Waker,
+    drain: bool,
 ) -> Disposition {
     let mut eof = false;
-    'chunks: for _ in 0..MAX_CHUNKS_PER_EVENT {
-        if conn.pending() > OUTBOX_HIGH_WATER {
+    let mut chunks = 0;
+    'chunks: loop {
+        if !drain && (chunks == MAX_CHUNKS_PER_EVENT || conn.pending() > OUTBOX_HIGH_WATER) {
             break;
         }
+        chunks += 1;
         let n = match conn.stream.read(chunk) {
             Ok(0) => {
                 eof = true;
@@ -285,22 +393,19 @@ fn handle_read(
                 ..
             } = *conn;
             buf.feed(&chunk[..n], cfg.max_line_bytes, &mut |scan| match scan {
-                Scan::Line(line) => process_line(engine, router, outbox, cfg, line, resp),
+                Scan::Line(line) => process_line(engine, router, outbox, line, resp),
                 Scan::Oversized => {
                     engine.note_reject(RejectKind::Oversized);
                     oversized_refusal_into(resp, cfg.max_line_bytes);
-                    let _ = write_line(outbox, resp);
+                    write_line(outbox, resp);
                     LineOutcome::Continue
                 }
             })
         };
         match outcome {
             LineOutcome::Continue => {}
-            // Writes into a Vec outbox cannot fail.
-            LineOutcome::Closed => unreachable!("outbox writes are infallible"),
             LineOutcome::Shutdown => return Disposition::Shutdown,
             LineOutcome::Subscribe => {
-                conn.buf.clear();
                 // Register with the hub *before* queueing the ack (which
                 // `process_line` left in `conn.resp`): a client that has
                 // read the ack cannot miss a transition. The hub wakes
@@ -309,7 +414,7 @@ fn handle_read(
                 let (id, rx) = engine.push_hub().subscribe(Some(Arc::new(move || {
                     let _ = w.wake();
                 })));
-                let _ = write_line(&mut conn.outbox, &conn.resp);
+                write_line(&mut conn.outbox, &conn.resp);
                 conn.sub = Some((id, rx));
                 continue 'chunks;
             }
@@ -325,7 +430,7 @@ fn handle_read(
                 ..
             } = *conn;
             buf.finish(&mut |scan| match scan {
-                Scan::Line(line) => process_line(engine, router, outbox, cfg, line, resp),
+                Scan::Line(line) => process_line(engine, router, outbox, line, resp),
                 Scan::Oversized => LineOutcome::Continue,
             });
         }
@@ -407,15 +512,45 @@ fn close_conn(
     free.push(idx);
 }
 
+/// Move every connection waiting in the shard's inbox into the slab.
+fn adopt(engine: &Engine, shard: &Shard, conns: &mut Vec<Option<Conn>>, free: &mut Vec<usize>) {
+    loop {
+        let next = shard.inbox.lock().expect("inbox lock").pop_front();
+        let Some((stream, guard)) = next else { break };
+        let idx = free.pop().unwrap_or_else(|| {
+            conns.push(None);
+            conns.len() - 1
+        });
+        if shard
+            .poll
+            .register(&Fd(stream.raw_fd()), Token(idx), Interest::READABLE)
+            .is_err()
+        {
+            free.push(idx);
+            continue;
+        }
+        obs::counter!("service.connections").inc();
+        conns[idx] = Some(Conn {
+            stream,
+            buf: LineBuf::new(),
+            router: Router::new(engine),
+            outbox: Vec::new(),
+            outbox_written: 0,
+            resp: String::with_capacity(256),
+            last_activity: Instant::now(),
+            registered: (true, false),
+            paused_read: false,
+            closing: false,
+            sub: None,
+            _guard: guard,
+        });
+    }
+}
+
 /// One event-loop shard thread: poll, serve readiness, adopt injected
-/// connections, fan pushes out, sweep idle conns — until `stop`.
-fn run_loop(
-    engine: Arc<Engine>,
-    cfg: Arc<ServerConfig>,
-    shard: Arc<Shard>,
-    peers: Arc<Vec<Arc<Shard>>>,
-    stop: Arc<AtomicBool>,
-) {
+/// connections, fan pushes out, sweep idle conns — until the accept loop
+/// sets `stop.closing`; then drain and close every connection.
+fn run_loop(engine: Arc<Engine>, cfg: Arc<ServerConfig>, shard: Arc<Shard>, stop: Arc<Stop>) {
     let mut events = Events::with_capacity(EVENTS_CAPACITY);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
@@ -423,9 +558,12 @@ fn run_loop(
     let mut ready: Vec<(usize, bool, bool)> = Vec::new();
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut last_sweep = Instant::now();
+    // Without an idle timeout there is nothing to sweep: sleep until a
+    // socket or the waker needs the loop.
+    let tick = (cfg.idle_timeout_ms > 0).then_some(POLL_TICK);
     loop {
-        let _ = shard.poll.poll(&mut events, Some(POLL_TICK));
-        if stop.load(Ordering::SeqCst) {
+        let _ = shard.poll.poll(&mut events, tick);
+        if stop.closing.load(Ordering::SeqCst) {
             break;
         }
         // Snapshot tokens first: handling mutates the slab.
@@ -444,7 +582,7 @@ fn run_loop(
                 disp = flush_outbox(conn);
             }
             if readable && matches!(disp, Disposition::Keep) && !conn.closing {
-                disp = handle_read(&engine, &cfg, conn, &mut chunk, &shard.waker);
+                disp = handle_read(&engine, &cfg, conn, &mut chunk, &shard.waker, false);
                 if matches!(disp, Disposition::Keep) {
                     // Push replies out now; arm write interest for the rest.
                     disp = flush_outbox(conn);
@@ -467,7 +605,11 @@ fn run_loop(
                     );
                 }
                 Disposition::Shutdown => {
-                    // Deliver the shutdown ack, then stop every shard.
+                    // Stop the accept loop before delivering the ack, so
+                    // a client that has read the ack finds the daemon
+                    // already stopping.
+                    stop.requested.store(true, Ordering::SeqCst);
+                    let _ = stop.accept_waker.wake();
                     close_conn(
                         &engine,
                         &shard.poll,
@@ -477,46 +619,12 @@ fn run_loop(
                         idx,
                         true,
                     );
-                    stop.store(true, Ordering::SeqCst);
-                    for p in peers.iter() {
-                        let _ = p.waker.wake();
-                    }
                 }
             }
         }
         // Adopt freshly accepted connections (after event handling, so a
         // stale event for a recycled token cannot hit a new conn).
-        loop {
-            let next = shard.inbox.lock().expect("inbox lock").pop_front();
-            let Some((stream, guard)) = next else { break };
-            let idx = free.pop().unwrap_or_else(|| {
-                conns.push(None);
-                conns.len() - 1
-            });
-            if shard
-                .poll
-                .register(&Fd(stream.raw_fd()), Token(idx), Interest::READABLE)
-                .is_err()
-            {
-                free.push(idx);
-                continue;
-            }
-            obs::counter!("service.connections").inc();
-            conns[idx] = Some(Conn {
-                stream,
-                buf: LineBuf::new(),
-                router: Router::new(&engine),
-                outbox: Vec::new(),
-                outbox_written: 0,
-                resp: String::with_capacity(256),
-                last_activity: Instant::now(),
-                registered: (true, false),
-                paused_read: false,
-                closing: false,
-                sub: None,
-                _guard: guard,
-            });
-        }
+        adopt(&engine, &shard, &mut conns, &mut free);
         // Fan queued push lines out to subscribers on this loop.
         if !subscribed.is_empty() {
             let subs = std::mem::take(&mut subscribed);
@@ -542,7 +650,7 @@ fn run_loop(
                 }
             }
         }
-        // Idle sweep, at poll-tick resolution like the threaded mode.
+        // Idle sweep, at poll-tick resolution.
         if cfg.idle_timeout_ms > 0 && last_sweep.elapsed() >= POLL_TICK {
             last_sweep = Instant::now();
             let deadline = Duration::from_millis(cfg.idle_timeout_ms);
@@ -565,9 +673,18 @@ fn run_loop(
             }
         }
     }
-    // Teardown: flush every router (so a final checkpoint sees all
-    // in-flight events) and best-effort-drain the outboxes.
+    // Teardown. The accept loop has dispatched its last connection, so
+    // the inbox is final: adopt it, process every byte each connection
+    // has already sent (the final checkpoint must see all events written
+    // before the shutdown request), then flush every router and
+    // best-effort-drain the outboxes.
+    adopt(&engine, &shard, &mut conns, &mut free);
     for idx in 0..conns.len() {
+        if let Some(conn) = conns[idx].as_mut() {
+            if conn.sub.is_none() && !conn.closing {
+                let _ = handle_read(&engine, &cfg, conn, &mut chunk, &shard.waker, true);
+            }
+        }
         close_conn(
             &engine,
             &shard.poll,
@@ -580,18 +697,41 @@ fn run_loop(
     }
 }
 
-/// Evented accept loop: admit, flip nonblocking, hand to a loop shard.
+/// Refuse a connection over the admission cap: one nonblocking write of
+/// the structured refusal line (about 100 bytes, which the send buffer of
+/// a fresh socket always holds), then close.
+fn refuse(engine: &Engine, mut stream: NbStream) {
+    engine.note_reject(RejectKind::ConnLimit);
+    let mut line = rpc::refusal_response("overloaded", "connection limit reached, retry later");
+    line.push('\n');
+    let _ = stream.write(line.as_bytes());
+}
+
+/// The accept loop: admit, hand to a loop shard round-robin, and on
+/// shutdown stop the loops and join them.
 pub(crate) fn serve_evented(
     engine: Arc<Engine>,
     listen: Listen,
     cfg: Arc<ServerConfig>,
 ) -> std::io::Result<()> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(ConnCount::new());
+    let listener = Listener::bind(listen)?;
+    let apoll = Poll::new()?;
+    apoll.register(&Fd(listener.raw_fd()), Token(0), Interest::READABLE)?;
+    let stop = Arc::new(Stop {
+        requested: AtomicBool::new(false),
+        accept_waker: Waker::new(&apoll, WAKER_TOKEN)?,
+        closing: AtomicBool::new(false),
+    });
     let shards: Vec<Arc<Shard>> = (0..cfg.io_shards)
         .map(|_| Shard::new().map(Arc::new))
         .collect::<std::io::Result<_>>()?;
-    let peers = Arc::new(shards.clone());
+    eprintln!(
+        "eccparityd: listening on {} ({} io loop{}, {} backend)",
+        listener.describe()?,
+        shards.len(),
+        if shards.len() == 1 { "" } else { "s" },
+        apoll.backend_name(),
+    );
     let loops: Vec<std::thread::JoinHandle<()>> = shards
         .iter()
         .enumerate()
@@ -599,125 +739,68 @@ pub(crate) fn serve_evented(
             let engine = Arc::clone(&engine);
             let cfg = Arc::clone(&cfg);
             let shard = Arc::clone(shard);
-            let peers = Arc::clone(&peers);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("eccparityd-io-{i}"))
-                .spawn(move || run_loop(engine, cfg, shard, peers, stop))
+                .spawn(move || run_loop(engine, cfg, shard, stop))
                 .expect("spawn io loop")
         })
         .collect();
 
+    let active = Arc::new(AtomicUsize::new(0));
     let mut next = 0usize;
-    let mut dispatch = |stream: NbStream| {
-        active.inc();
-        let guard = ConnGuard(Arc::clone(&active));
-        let shard = &shards[next % shards.len()];
-        next += 1;
-        shard
-            .inbox
-            .lock()
-            .expect("inbox lock")
-            .push_back((stream, guard));
-        let _ = shard.waker.wake();
-    };
-
-    let apoll = Poll::new()?;
     let mut aevents = Events::with_capacity(8);
-    let unix_path = match listen {
-        Listen::Unix(path) => {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)?;
-                }
-            }
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path)?;
-            listener.set_nonblocking(true)?;
-            apoll.register(&Fd(listener.as_raw_fd()), Token(0), Interest::READABLE)?;
-            eprintln!(
-                "eccparityd: listening on unix://{} (evented, {} loop{}, {} backend)",
-                path.display(),
-                shards.len(),
-                if shards.len() == 1 { "" } else { "s" },
-                apoll.backend_name(),
-            );
-            while !stop.load(Ordering::SeqCst) {
-                let _ = apoll.poll(&mut aevents, Some(POLL_TICK));
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if active.load() >= cfg.max_conns {
-                                refuse_conn(Arc::clone(&engine), stream);
-                                continue;
-                            }
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            dispatch(NbStream::Unix(stream));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            // EMFILE and friends leave the listener readable,
-                            // so poll() would return instantly and we'd spin.
-                            // Back off and let the loop shards run.
-                            std::thread::sleep(crate::server::ACCEPT_ERR_BACKOFF);
-                            break;
-                        }
+    loop {
+        let _ = apoll.poll(&mut aevents, None);
+        // Read the flag before sweeping the backlog: a connection made
+        // before the shutdown request is then dispatched (and drained),
+        // never left behind in the backlog.
+        let stopping = stop.requested.load(Ordering::SeqCst);
+        loop {
+            match listener.accept() {
+                Ok(stream) => {
+                    if active.load(Ordering::SeqCst) >= cfg.max_conns {
+                        refuse(&engine, stream);
+                        continue;
                     }
+                    active.fetch_add(1, Ordering::SeqCst);
+                    let guard = ConnGuard(Arc::clone(&active));
+                    let shard = &shards[next % shards.len()];
+                    next += 1;
+                    shard
+                        .inbox
+                        .lock()
+                        .expect("inbox lock")
+                        .push_back((stream, guard));
+                    let _ = shard.waker.wake();
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // EMFILE and friends leave the listener readable, so
+                    // poll() would return instantly and we'd spin. Back
+                    // off and let the loop shards run.
+                    std::thread::sleep(ACCEPT_ERR_BACKOFF);
+                    break;
                 }
             }
-            Some(path)
         }
-        Listen::Tcp(addr) => {
-            let listener = TcpListener::bind(&addr)?;
-            let local = listener.local_addr()?;
-            listener.set_nonblocking(true)?;
-            apoll.register(&Fd(listener.as_raw_fd()), Token(0), Interest::READABLE)?;
-            eprintln!(
-                "eccparityd: listening on tcp://{local} (evented, {} loop{}, {} backend)",
-                shards.len(),
-                if shards.len() == 1 { "" } else { "s" },
-                apoll.backend_name(),
-            );
-            while !stop.load(Ordering::SeqCst) {
-                let _ = apoll.poll(&mut aevents, Some(POLL_TICK));
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            if active.load() >= cfg.max_conns {
-                                refuse_conn(Arc::clone(&engine), stream);
-                                continue;
-                            }
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            dispatch(NbStream::Tcp(stream));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            std::thread::sleep(crate::server::ACCEPT_ERR_BACKOFF);
-                            break;
-                        }
-                    }
-                }
-            }
-            None
+        if stopping {
+            break;
         }
-    };
+    }
 
-    // Loop threads flush routers + outboxes on their way out; joining
-    // them is the drain.
+    // No connection is dispatched after this point. Each loop drains and
+    // flushes its connections on the way out; joining them is the drain.
+    stop.closing.store(true, Ordering::SeqCst);
     for (shard, handle) in shards.iter().zip(loops) {
         let _ = shard.waker.wake();
-        let _ = handle.join();
+        if handle.join().is_err() {
+            eprintln!("eccparityd: an io loop panicked during shutdown");
+        }
     }
-    drain(&active, cfg.drain_ms);
-    if let Some(path) = unix_path {
-        let _ = std::fs::remove_file(&path);
+    if let Listener::Unix(_, path) = &listener {
+        let _ = std::fs::remove_file(path);
     }
     Ok(())
 }
@@ -726,7 +809,8 @@ pub(crate) fn serve_evented(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::server::{serve, IoMode};
+    use crate::rpc::Query;
+    use crate::server::serve;
     use std::io::{BufRead, BufReader};
 
     fn connect_with_retry(path: &std::path::Path) -> UnixStream {
@@ -751,10 +835,6 @@ mod tests {
             std::env::temp_dir().join(format!("eccparityd-ev-{tag}-{}.sock", std::process::id()));
         let e2 = Arc::clone(engine);
         let s2 = sock.clone();
-        let cfg = ServerConfig {
-            io_mode: IoMode::Evented,
-            ..cfg
-        };
         let srv = std::thread::spawn(move || serve(e2, Listen::Unix(s2), cfg));
         (sock, srv)
     }
@@ -859,7 +939,7 @@ mod tests {
     #[test]
     fn pipelined_split_writes_reassemble() {
         // Drip a request stream byte-by-byte: reassembly across reads
-        // must behave exactly like the threaded path.
+        // must answer exactly as a bulk write would.
         let engine = Arc::new(Engine::start(EngineConfig {
             shards: 2,
             ..EngineConfig::default()
@@ -883,6 +963,96 @@ mod tests {
         resp.clear();
         r.read_line(&mut resp).unwrap();
         srv.join().unwrap().unwrap();
+        engine.shutdown();
+    }
+
+    #[test]
+    fn stop_processes_bytes_an_adopted_connection_already_sent() {
+        let engine = Arc::new(Engine::start(EngineConfig {
+            shards: 2,
+            ..EngineConfig::default()
+        }));
+        let shard = Arc::new(Shard::new().unwrap());
+        let apoll = Poll::new().unwrap();
+        let stop = Arc::new(Stop {
+            requested: AtomicBool::new(false),
+            accept_waker: Waker::new(&apoll, WAKER_TOKEN).unwrap(),
+            closing: AtomicBool::new(false),
+        });
+        let worker = {
+            let (engine, shard, stop) =
+                (Arc::clone(&engine), Arc::clone(&shard), Arc::clone(&stop));
+            let cfg = Arc::new(ServerConfig::default());
+            std::thread::spawn(move || run_loop(engine, cfg, shard, stop))
+        };
+
+        let (mut client, server) = UnixStream::pair().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let active = Arc::new(AtomicUsize::new(1));
+        shard
+            .inbox
+            .lock()
+            .unwrap()
+            .push_back((NbStream::Unix(server), ConnGuard(Arc::clone(&active))));
+        shard.waker.wake().unwrap();
+        while !shard.inbox.lock().unwrap().is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Adopted. With no idle timeout the loop sleeps until a socket or
+        // its waker needs it, so it first sees these bytes with `closing`
+        // already set: only the stop-time drain can read them. They go in
+        // one write (one socket buffer), and the client never closes.
+        stop.closing.store(true, Ordering::SeqCst);
+        let mut bytes = Vec::new();
+        for i in 0..200u64 {
+            let ev = rpc::render_event(&rpc::Event {
+                node: i % 13,
+                channel: (i % 8) as u32,
+                bank: (i % 16) as u32,
+                row: i as u32,
+                count: 1,
+                bank_fault: false,
+            });
+            bytes.extend_from_slice(ev.as_bytes());
+            bytes.push(b'\n');
+        }
+        client.write_all(&bytes).unwrap();
+        worker.join().unwrap();
+
+        assert_eq!(active.load(Ordering::SeqCst), 0, "connection closed");
+        engine.barrier();
+        let fleet = engine.query(&Query::Fleet);
+        assert!(fleet.contains("\"events\":200"), "{fleet}");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn late_connection_does_not_delay_serve_return() {
+        let engine = Arc::new(Engine::start(EngineConfig {
+            shards: 1,
+            ..EngineConfig::default()
+        }));
+        let (sock, srv) = start_evented(&engine, ServerConfig::default(), "late");
+        let ctl = connect_with_retry(&sock);
+        let mut w = ctl.try_clone().unwrap();
+        let mut r = BufReader::new(ctl);
+        w.write_all(b"{\"kind\":\"query\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        w.flush().unwrap();
+        let mut ack = String::new();
+        r.read_line(&mut ack).unwrap();
+        assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+
+        // Connect right after the ack and hold the connection open.
+        let t0 = Instant::now();
+        let late = UnixStream::connect(&sock);
+        srv.join().unwrap().unwrap();
+        let took = t0.elapsed();
+        drop(late);
+        assert!(
+            took < Duration::from_secs(1),
+            "a late connection held shutdown for {took:?}"
+        );
         engine.shutdown();
     }
 }

@@ -32,16 +32,15 @@
 //!   fan-out hub from shard workers to `subscribe`d operator
 //!   connections, with per-subscriber bounded queues and counted
 //!   shedding (`service.push.shed`).
-//! - [`server`] — the socket front-ends (Unix-domain or TCP) behind a
-//!   shared per-line state machine: the default `evented` mode (in
-//!   [`evented`]) multiplexes every connection over a handful of
-//!   readiness-driven event-loop shards; the `threads` mode keeps one
-//!   blocking thread per connection. Both enforce read-your-writes
-//!   barriers before queries, bounded line reads, connection admission
-//!   caps, and idle timeouts.
-//! - [`evented`] — the nonblocking readiness loop itself: per-connection
-//!   read reassembly and write outboxes with watermark backpressure and
-//!   interest re-arming over the vendored `mio`-style poller.
+//! - [`server`] — the socket front-end (Unix-domain or TCP): its limits,
+//!   chunk-boundary-safe line reassembly, and the per-line state machine
+//!   that enforces read-your-writes barriers before queries, bounded
+//!   line reads, connection admission caps, and idle timeouts.
+//! - [`evented`] — the nonblocking readiness loops every connection is
+//!   multiplexed over: per-connection read reassembly and write outboxes
+//!   with watermark backpressure and interest re-arming over the vendored
+//!   `mio`-style poller, and a shutdown that processes every byte
+//!   clients sent before it.
 //!
 //! Determinism is load-bearing: the same event stream produces
 //! byte-identical query responses regardless of shard count, thread

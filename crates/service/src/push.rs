@@ -12,7 +12,7 @@
 //! pair, `risk_ppm`, and the node's cumulative `events` count), and a
 //! node's events are applied in arrival order by its owning shard — so
 //! the *per-node subsequence* of push lines is byte-deterministic for a
-//! given per-node event order, in both io modes. Interleaving *across*
+//! given per-node event order. Interleaving *across*
 //! nodes follows shard scheduling and is not specified. A daemon resumed
 //! from a checkpoint re-derives tiers from restored state and emits only
 //! transitions caused by post-resume events.
@@ -21,7 +21,7 @@
 //! finds a subscriber's queue full is dropped *for that subscriber only*
 //! and counted in `service.push.shed` — a slow operator terminal can
 //! never apply backpressure to shard workers or other subscribers. The
-//! evented front-end applies the same shed accounting at its
+//! socket front-end applies the same shed accounting at its
 //! write-outbox watermark (see `docs/OPERATIONS.md` § High
 //! connection-count deployments).
 //!

@@ -331,6 +331,22 @@ pub fn render_query(q: &Query) -> String {
     }
 }
 
+/// The deterministic state-query suite behind `eccparity-loadgen
+/// --queries`, for a stream over `nodes` node ids: liveness, the fleet
+/// view, the top 50 pages, then `node_risk` and `recommend` for node 0,
+/// the middle and last node, and one node the stream never names. It
+/// asks no `stats`: those process-local counters differ between a fresh
+/// daemon and a resumed one even when the fleet state is identical, so
+/// two engines holding the same state answer this suite byte for byte.
+pub fn query_suite(nodes: u64) -> Vec<Query> {
+    let mut suite = vec![Query::Ping, Query::Fleet, Query::TopPages { k: 50 }];
+    for node in [0, nodes / 2, nodes.saturating_sub(1), nodes + 7] {
+        suite.push(Query::NodeRisk { node });
+        suite.push(Query::Recommend { node });
+    }
+    suite
+}
+
 /// Append a JSON string literal (with escaping) to `out`.
 pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');

@@ -14,7 +14,7 @@
 //!                   [--channels N] [--banks N]
 //!                   [--connections N] [--idle-conns N]
 //!                   [--latency-probes N]
-//!                   [--bench-json FILE] [--bench-label LABEL]
+//!                   [--bench-json FILE]
 //!                   [--skip-ingest] [--min-rate EVENTS_PER_SEC]
 //!                   [--checkpoint] [--queries FILE] [--shutdown]
 //! ```
@@ -29,15 +29,14 @@
 //!
 //! With `--connections N > 1` the ingest stream is split by
 //! `node % N` across N sockets multiplexed over the same readiness
-//! poller the daemon's evented mode uses — per-node event order is
-//! preserved (a node's events all ride one connection), so query
+//! poller the daemon uses — per-node event order is preserved (a
+//! node's events all ride one connection), so query
 //! transcripts stay byte-identical to a single-connection run. The
 //! end-of-stream barrier becomes a stats poll (the per-connection
 //! router flush happens at each socket's EOF).
 //!
-//! `--bench-json FILE` merges this run's measurements into FILE under
-//! `--bench-label` (schema `eccparity-bench-daemon-io-v1`) so one file
-//! can compare `--io-mode threads` and `evented` runs side by side.
+//! `--bench-json FILE` writes this run's measurements to FILE (schema
+//! `eccparity-bench-daemon-io-v1`, one `modes.evented` entry).
 //!
 //! Exit status: 0 success, 1 daemon I/O or gate failure, 2 usage
 //! error, 4 ingest rate below `--min-rate`. The rate gate gets its own
@@ -60,7 +59,7 @@ fn usage() -> ! {
          \x20                        [--channels N] [--banks N]\n\
          \x20                        [--connections N] [--idle-conns N]\n\
          \x20                        [--latency-probes N]\n\
-         \x20                        [--bench-json FILE] [--bench-label LABEL]\n\
+         \x20                        [--bench-json FILE]\n\
          \x20                        [--skip-ingest] [--min-rate N]\n\
          \x20                        [--checkpoint] [--queries FILE] [--shutdown]"
     );
@@ -274,56 +273,32 @@ fn multiplexed_ingest(target: &Target, bufs: Vec<Vec<u8>>) {
     }
 }
 
-/// Merge this run's measurements into `path` under `label`
-/// (schema `eccparity-bench-daemon-io-v1`).
-fn write_bench_json(path: &std::path::Path, label: &str, fields: &[(&str, u64)]) {
+/// Write this run's measurements to `path` as the `evented` entry of an
+/// `eccparity-bench-daemon-io-v1` document.
+fn write_bench_json(path: &std::path::Path, fields: &[(&str, u64)]) {
     use serde_json::Value;
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        .filter(|v| {
-            v.get("schema").and_then(|s| s.as_str()) == Some("eccparity-bench-daemon-io-v1")
-        })
-        .unwrap_or_else(|| {
-            Value::Object(vec![
-                (
-                    "schema".to_string(),
-                    Value::Str("eccparity-bench-daemon-io-v1".to_string()),
-                ),
-                ("modes".to_string(), Value::Object(Vec::new())),
-            ])
-        });
-    let mode = Value::Object(
+    let evented = Value::Object(
         fields
             .iter()
             .map(|&(k, v)| (k.to_string(), Value::UInt(v)))
             .collect(),
     );
-    if let Value::Object(pairs) = &mut root {
-        let modes = pairs.iter_mut().find(|(k, _)| k == "modes");
-        match modes {
-            Some((_, Value::Object(modes))) => {
-                if let Some(slot) = modes.iter_mut().find(|(k, _)| k == label) {
-                    slot.1 = mode;
-                } else {
-                    modes.push((label.to_string(), mode));
-                }
-            }
-            _ => pairs.push((
-                "modes".to_string(),
-                Value::Object(vec![(label.to_string(), mode)]),
-            )),
-        }
-    }
+    let root = Value::Object(vec![
+        (
+            "schema".to_string(),
+            Value::Str("eccparity-bench-daemon-io-v1".to_string()),
+        ),
+        (
+            "modes".to_string(),
+            Value::Object(vec![("evented".to_string(), evented)]),
+        ),
+    ]);
     let text = serde_json::to_string_pretty(&root).expect("render bench json");
     std::fs::write(path, text + "\n").unwrap_or_else(|e| {
         eprintln!("eccparity-loadgen: cannot write {}: {e}", path.display());
         std::process::exit(1);
     });
-    println!(
-        "loadgen: bench results for `{label}` merged into {}",
-        path.display()
-    );
+    println!("loadgen: bench results written to {}", path.display());
 }
 
 fn main() {
@@ -342,7 +317,6 @@ fn main() {
     let mut idle_conns: u64 = 0;
     let mut latency_probes: u64 = 0;
     let mut bench_json: Option<PathBuf> = None;
-    let mut bench_label = String::from("default");
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -366,10 +340,6 @@ fn main() {
             "--bench-json" => {
                 let Some(f) = args.next() else { usage() };
                 bench_json = Some(PathBuf::from(f));
-            }
-            "--bench-label" => {
-                let Some(l) = args.next() else { usage() };
-                bench_label = l;
             }
             "--skip-ingest" => skip_ingest = true,
             "--min-rate" => min_rate = parse_u64("--min-rate", args.next()),
@@ -547,7 +517,6 @@ fn main() {
         );
         write_bench_json(
             path,
-            &bench_label,
             &[
                 ("events", ingested),
                 ("events_per_sec", measured_rate),
@@ -576,28 +545,11 @@ fn main() {
     }
 
     if let Some(out) = queries_out {
-        // A deterministic suite over state-only queries (no stats — its
-        // process-local counters differ between a fresh daemon and a
-        // resumed one even when the fleet state is identical).
-        let probes = [cfg.nodes / 2, cfg.nodes.saturating_sub(1), cfg.nodes + 7];
-        let mut lines = vec![
-            "{\"kind\":\"query\",\"op\":\"ping\"}".to_string(),
-            "{\"kind\":\"query\",\"op\":\"fleet\"}".to_string(),
-            "{\"kind\":\"query\",\"op\":\"top_pages\",\"k\":50}".to_string(),
-            "{\"kind\":\"query\",\"op\":\"node_risk\",\"node\":0}".to_string(),
-            "{\"kind\":\"query\",\"op\":\"recommend\",\"node\":0}".to_string(),
-        ];
-        for n in probes {
-            lines.push(format!(
-                "{{\"kind\":\"query\",\"op\":\"node_risk\",\"node\":{n}}}"
-            ));
-            lines.push(format!(
-                "{{\"kind\":\"query\",\"op\":\"recommend\",\"node\":{n}}}"
-            ));
-        }
+        let suite = eccparity_service::rpc::query_suite(cfg.nodes);
         let mut text = String::new();
-        for line in &lines {
-            text.push_str(&query(&mut writer, &mut reader, line));
+        for q in &suite {
+            let line = eccparity_service::rpc::render_query(q);
+            text.push_str(&query(&mut writer, &mut reader, &line));
             text.push('\n');
         }
         std::fs::write(&out, &text).unwrap_or_else(|e| {
@@ -606,7 +558,7 @@ fn main() {
         });
         println!(
             "loadgen: wrote {} query responses to {}",
-            lines.len(),
+            suite.len(),
             out.display()
         );
     }

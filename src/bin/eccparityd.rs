@@ -13,7 +13,7 @@
 //!            [--max-conns N] [--idle-timeout-ms MS] [--max-line-bytes N]
 //!            [--checkpoint-interval-ms MS] [--queue-depth N]
 //!            [--overload-policy block|shed] [--watchdog-ms MS]
-//!            [--io-mode threads|evented] [--io-shards N] [--push-queue N]
+//!            [--io-shards N] [--push-queue N]
 //! ```
 //!
 //! Defaults: `--socket eccparityd.sock` in the working directory, shard
@@ -24,7 +24,6 @@
 //! `ECC_PARITY_SERVICE_MAX_LINE`, `ECC_PARITY_SERVICE_CHECKPOINT_MS`,
 //! `ECC_PARITY_SERVICE_QUEUE_DEPTH`, `ECC_PARITY_SERVICE_OVERLOAD`
 //! (`block` | `shed`), `ECC_PARITY_SERVICE_WATCHDOG_MS`,
-//! `ECC_PARITY_SERVICE_IO_MODE` (`threads` | `evented`),
 //! `ECC_PARITY_SERVICE_IO_SHARDS`, and `ECC_PARITY_SERVICE_PUSH_QUEUE`;
 //! flags win over environment. `ECC_PARITY_SERVICE_CHAOS=<seed>` arms deterministic
 //! fault injection against the daemon's own shard workers (CI only).
@@ -42,7 +41,7 @@
 use eccparity_service::chaos;
 use eccparity_service::engine::{Engine, EngineConfig};
 use eccparity_service::queue::OverloadPolicy;
-use eccparity_service::server::{serve, IoMode, Listen, ServerConfig};
+use eccparity_service::server::{serve, Listen, ServerConfig};
 use eccparity_service::state::Geometry;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -55,8 +54,7 @@ fn usage() -> ! {
          \x20                 [--max-conns N] [--idle-timeout-ms MS]\n\
          \x20                 [--max-line-bytes N] [--checkpoint-interval-ms MS]\n\
          \x20                 [--queue-depth N] [--overload-policy block|shed]\n\
-         \x20                 [--watchdog-ms MS] [--io-mode threads|evented]\n\
-         \x20                 [--io-shards N] [--push-queue N]\n\
+         \x20                 [--watchdog-ms MS] [--io-shards N] [--push-queue N]\n\
          \n\
          env: ECC_PARITY_SERVICE_SHARDS (default shard count)\n\
          \x20    ECC_PARITY_SERVICE_DIR    (default state dir)\n\
@@ -132,14 +130,6 @@ fn main() {
     if let Some(n) = env_u64("ECC_PARITY_SERVICE_MAX_LINE") {
         srv.max_line_bytes = n.max(1024) as usize;
     }
-    if let Ok(raw) = std::env::var("ECC_PARITY_SERVICE_IO_MODE") {
-        match IoMode::parse(raw.trim()) {
-            Some(m) => srv.io_mode = m,
-            None => eprintln!(
-                "eccparityd: ignoring ECC_PARITY_SERVICE_IO_MODE={raw} (want threads|evented)"
-            ),
-        }
-    }
     if let Some(n) = env_u64("ECC_PARITY_SERVICE_IO_SHARDS") {
         srv.io_shards = n.max(1) as usize;
     }
@@ -194,14 +184,6 @@ fn main() {
                 cfg.overload = p;
             }
             "--watchdog-ms" => cfg.watchdog_ms = parse_u64("--watchdog-ms", args.next()),
-            "--io-mode" => {
-                let Some(raw) = args.next() else { usage() };
-                let Some(m) = IoMode::parse(raw.trim()) else {
-                    eprintln!("eccparityd: --io-mode wants threads|evented, got `{raw}`");
-                    usage();
-                };
-                srv.io_mode = m;
-            }
             "--io-shards" => srv.io_shards = parse_u64("--io-shards", args.next()).max(1) as usize,
             "--push-queue" => {
                 cfg.push_queue = parse_u64("--push-queue", args.next()).max(1) as usize
@@ -224,9 +206,8 @@ fn main() {
     let listen = listen.unwrap_or_else(|| Listen::Unix(PathBuf::from("eccparityd.sock")));
     let geom: Geometry = cfg.geom;
     eprintln!(
-        "eccparityd: {} shards, io {}, geometry {}x{} threshold {}, state {}",
+        "eccparityd: {} shards, geometry {}x{} threshold {}, state {}",
         cfg.shards,
-        srv.io_mode.name(),
         geom.channels,
         geom.banks,
         geom.threshold,
@@ -240,9 +221,10 @@ fn main() {
         eprintln!("eccparityd: listener failed: {e}");
         std::process::exit(3);
     }
-    // Clean shutdown: serve() has drained the connection threads (their
-    // routers flushed), so this checkpoint sees every in-flight event and
-    // the next --resume start matches what clients observed.
+    // Clean shutdown: serve() has processed what every connection sent
+    // and flushed its router, so this checkpoint sees every event written
+    // before the shutdown request and the next --resume start matches
+    // what clients observed.
     if engine.config().state_dir.is_some() {
         match engine.checkpoint() {
             Ok(info) => eprintln!(

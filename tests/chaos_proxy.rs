@@ -8,8 +8,9 @@
 //!    and a flood of sacrificial garbage/oversized/geometry-bad lines
 //!    (plus the daemon's own injected batch panics via
 //!    `ECC_PARITY_SERVICE_CHAOS`) must not change a single byte of the
-//!    query transcript relative to a direct, chaos-free daemon — even
-//!    at a different shard count.
+//!    query transcript relative to an in-process engine fed the same
+//!    stream with no socket and no chaos — even at a different shard
+//!    count.
 //! 2. **Exact rejection attribution.** Every hostile line the proxy
 //!    injects shows up in exactly one `service.reject.*` bucket: the
 //!    chaosproxy summary and the daemon's `stats` must agree to the
@@ -18,6 +19,9 @@
 //!    restarted with `--resume` (different shard count again) still
 //!    answers byte-identically to the golden.
 
+mod common;
+
+use resilience::loadgen::StreamConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -45,15 +49,12 @@ fn start_daemon(
     state: Option<&Path>,
     resume: bool,
     chaos: bool,
-    io_mode: &str,
 ) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_eccparityd"));
     cmd.arg("--socket")
         .arg(sock)
         .arg("--shards")
         .arg(shards.to_string())
-        .arg("--io-mode")
-        .arg(io_mode)
         .arg("--name")
         .arg("chaos-smoke")
         .stdout(Stdio::null())
@@ -68,7 +69,16 @@ fn start_daemon(
         cmd.env("ECC_PARITY_SERVICE_CHAOS", "9");
     }
     let child = cmd.spawn().expect("spawn eccparityd");
-    wait_for(sock);
+    // The socket file exists from bind() on, before listen(): the daemon
+    // is ready once a connection succeeds.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while UnixStream::connect(sock).is_err() {
+        assert!(
+            Instant::now() < deadline,
+            "daemon never listened on {sock:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     child
 }
 
@@ -108,21 +118,18 @@ fn field(json: &serde_json::Value, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("field {name} missing: {json:?}"))
 }
 
-/// The full chaos smoke, parameterized over the victim daemon's io
-/// mode. The golden daemon is always `threads`, so the `evented` leg
-/// additionally proves cross-io-mode transcript equality under chaos.
-fn chaos_smoke(io_mode: &str) {
-    let dir = scratch(&format!("smoke-{io_mode}"));
+#[test]
+fn chaosproxy_run_matches_golden_and_attributes_every_reject_evented() {
+    let dir = scratch("smoke");
     let ingest: &[&str] = &["--events", "30000", "--nodes", "64", "--seed", "33"];
 
-    // Golden: direct socket, no chaos anywhere, 4 shards, threaded io.
-    let golden_sock = dir.join("golden.sock");
-    let golden_out = dir.join("golden.txt");
-    let mut daemon = start_daemon(&golden_sock, 4, None, false, false, "threads");
-    let mut args = ingest.to_vec();
-    args.extend(["--queries", golden_out.to_str().unwrap(), "--shutdown"]);
-    loadgen(&golden_sock, &args);
-    assert!(daemon.wait().expect("golden daemon exit").success());
+    // Golden: the same stream answered in process, 4 shards, no chaos.
+    let golden = common::in_process_transcript(StreamConfig {
+        events: 30_000,
+        nodes: 64,
+        seed: 33,
+        ..StreamConfig::default()
+    });
 
     // Chaos: 3 shards, internal chaos armed, loadgen through the proxy.
     let sock = dir.join("victim.sock");
@@ -130,7 +137,7 @@ fn chaos_smoke(io_mode: &str) {
     let proxy_sock = dir.join("proxy.sock");
     let summary_file = dir.join("summary.json");
     let chaos_out = dir.join("chaos.txt");
-    let mut daemon = start_daemon(&sock, 3, Some(&state), false, true, io_mode);
+    let mut daemon = start_daemon(&sock, 3, Some(&state), false, true);
     let mut proxy = Command::new(env!("CARGO_BIN_EXE_eccparity-chaosproxy"))
         .arg("--listen-socket")
         .arg(&proxy_sock)
@@ -162,7 +169,6 @@ fn chaos_smoke(io_mode: &str) {
     );
 
     // 1. Transcript equality, chaos vs golden, across shard counts.
-    let golden = std::fs::read_to_string(&golden_out).expect("golden transcript");
     let chaosd = std::fs::read_to_string(&chaos_out).expect("chaos transcript");
     assert!(!golden.is_empty() && golden.contains("\"ok\":true"));
     assert_eq!(golden, chaosd, "network chaos changed the transcript");
@@ -211,7 +217,7 @@ fn chaos_smoke(io_mode: &str) {
     daemon.kill().expect("SIGKILL daemon");
     daemon.wait().expect("reap daemon");
     let resumed_out = dir.join("resumed.txt");
-    let mut daemon = start_daemon(&sock, 5, Some(&state), true, false, io_mode);
+    let mut daemon = start_daemon(&sock, 5, Some(&state), true, false);
     loadgen(
         &sock,
         &[
@@ -230,14 +236,4 @@ fn chaos_smoke(io_mode: &str) {
         "post-chaos resume answers differently from the golden"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn chaosproxy_run_matches_golden_and_attributes_every_reject_threaded() {
-    chaos_smoke("threads");
-}
-
-#[test]
-fn chaosproxy_run_matches_golden_and_attributes_every_reject_evented() {
-    chaos_smoke("evented");
 }

@@ -69,3 +69,39 @@ pub fn descending_arrivals(events: &mut [Event]) {
         ev.node = rename[&ev.node];
     }
 }
+
+/// `eccparity-loadgen`'s rendering of one stream event.
+fn wire_event(ev: &resilience::loadgen::FleetEvent) -> String {
+    eccparity_service::rpc::render_event(&Event {
+        node: ev.node,
+        channel: ev.channel,
+        bank: ev.bank,
+        row: ev.row,
+        count: 1,
+        bank_fault: ev.bank_fault,
+    })
+}
+
+/// The golden `eccparity-loadgen --queries` transcript for `cfg`'s
+/// stream: an in-process engine, fed the stream's wire lines through a
+/// `Router` exactly as a daemon connection would, answers
+/// `rpc::query_suite` — one response per line. No socket is involved, so
+/// a daemon transcript that equals it shows the I/O path added nothing
+/// and lost nothing.
+pub fn in_process_transcript(cfg: resilience::loadgen::StreamConfig) -> String {
+    use eccparity_service::engine::{Engine, EngineConfig, Router};
+    let engine = Engine::start(EngineConfig::default());
+    let mut router = Router::new(&engine);
+    for ev in resilience::loadgen::FleetStream::new(cfg) {
+        router.push_line(&engine, wire_event(&ev).as_bytes());
+    }
+    router.flush(&engine);
+    engine.barrier();
+    let mut text = String::new();
+    for q in eccparity_service::rpc::query_suite(cfg.nodes) {
+        text.push_str(&engine.query(&q));
+        text.push('\n');
+    }
+    engine.shutdown();
+    text
+}

@@ -12,6 +12,10 @@
 //!    machine-checkable, not decorative).
 //! 3. **Links resolve** — every relative markdown link in the
 //!    top-level docs and `docs/` points at a file that exists.
+//! 4. **Flag tables match the parsers** — every `--flag` the
+//!    `eccparityd` and `eccparity-loadgen` argument parsers accept has a
+//!    row in that binary's flag table in `docs/OPERATIONS.md`, and every
+//!    flag in those tables is still parsed.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -244,4 +248,84 @@ fn markdown_links_resolve() {
         "broken relative markdown links:\n{}",
         broken.join("\n")
     );
+}
+
+/// `--flag` tokens in `text`.
+fn flags_in(text: &str, into: &mut BTreeSet<String>) {
+    let bytes = text.as_bytes();
+    let mut from = 0;
+    while let Some(pos) = text[from..].find("--") {
+        let start = from + pos;
+        let mut end = start + 2;
+        while end < bytes.len() && (bytes[end].is_ascii_lowercase() || bytes[end] == b'-') {
+            end += 1;
+        }
+        if end > start + 2 {
+            into.insert(text[start..end].to_string());
+        }
+        from = end;
+    }
+}
+
+/// The flags a binary's argument parser matches on: the string literals
+/// of its `"--flag" =>` arms, without `--help` (usage, not a setting).
+fn parsed_flags(bin_source: &str) -> BTreeSet<String> {
+    let path = repo_root().join(bin_source);
+    let text = std::fs::read_to_string(&path).expect("read binary source");
+    let mut flags = BTreeSet::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.starts_with("\"--") && line.contains("=>") {
+            let arm = &line[..line.find("=>").expect("arm")];
+            flags_in(arm, &mut flags);
+        }
+    }
+    flags.remove("--help");
+    flags
+}
+
+/// The flags in the first column of the table under `heading` in
+/// `docs/OPERATIONS.md` (up to the next `## ` heading).
+fn documented_flags(heading: &str) -> BTreeSet<String> {
+    let doc = std::fs::read_to_string(repo_root().join("docs/OPERATIONS.md"))
+        .expect("read docs/OPERATIONS.md");
+    let start = doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("docs/OPERATIONS.md lacks the {heading:?} section"));
+    let body = &doc[start + heading.len()..];
+    let section = &body[..body.find("\n## ").unwrap_or(body.len())];
+    let mut flags = BTreeSet::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let first_cell = row[1..].split(" | ").next().unwrap_or("");
+        flags_in(first_cell, &mut flags);
+    }
+    flags
+}
+
+#[test]
+fn flag_tables_match_the_argument_parsers() {
+    for (bin, heading) in [
+        ("src/bin/eccparityd.rs", "## `eccparityd` flags"),
+        (
+            "src/bin/eccparity-loadgen.rs",
+            "## Driving load: `eccparity-loadgen`",
+        ),
+    ] {
+        let parsed = parsed_flags(bin);
+        let documented = documented_flags(heading);
+        assert!(
+            parsed.len() >= 10 && parsed.contains("--socket"),
+            "{bin}: flag extraction looks broken: {parsed:?}"
+        );
+        let undocumented: Vec<&String> = parsed.difference(&documented).collect();
+        assert!(
+            undocumented.is_empty(),
+            "{bin} parses flags missing from its table in docs/OPERATIONS.md: {undocumented:?}"
+        );
+        let stale: Vec<&String> = documented.difference(&parsed).collect();
+        assert!(
+            stale.is_empty(),
+            "docs/OPERATIONS.md documents {bin} flags it no longer parses: {stale:?}"
+        );
+    }
 }
