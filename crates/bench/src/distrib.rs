@@ -565,15 +565,8 @@ where
             );
         }
     }
-    let mut publisher = crate::supervisor::Journal {
-        path: Some(journal.clone()),
-        records: base_records,
-        chaos: Chaos::off(), // the coordinator's own publish is never chaos'd
-        persists: 0,
-        write_failures: 0,
-    };
-    publisher.persist();
-    drop(publisher);
+    // The coordinator's own publish is never chaos'd.
+    crate::supervisor::Journal::start(Some(journal.clone()), base_records, Chaos::off());
     // Leases from a previous (dead) coordinator are garbage: pids may
     // have been reused, so clear rather than steal.
     let _ = std::fs::remove_dir_all(&ldir);

@@ -9,11 +9,13 @@
 //!
 //! 1. Every shard's result is journaled to
 //!    `results/checkpoints/<campaign>.journal.jsonl` the moment it
-//!    completes. Each journal publish rewrites the record list to a temp
-//!    file, fsyncs, and renames over the journal, so readers (including a
-//!    post-crash resume) never observe a torn file; replay additionally
-//!    tolerates a torn tail (records after the first damaged line are
-//!    dropped) in case the file was truncated by outside forces.
+//!    completes. A run's first persist publishes the whole journal (a
+//!    temp file, fsynced and renamed over it): the fresh header, or on
+//!    resume the replayed records. Every later record is one `O_APPEND`
+//!    line plus fsync, so a run writes each record once. A crash mid-append
+//!    can tear the final line; replay skips damaged lines and keeps every
+//!    record around them, and the resumed run's first publish drops the
+//!    torn line from the file.
 //! 2. `ECC_PARITY_RESUME=1` replays the journal: shards with a valid,
 //!    checksummed result are *not* re-executed — their recorded payloads
 //!    deserialize to bit-identical results (the same serde round-trip the
@@ -23,7 +25,9 @@
 //! 3. Each shard attempt runs on its own thread under
 //!    [`std::panic::catch_unwind`] with a watchdog deadline
 //!    (`ECC_PARITY_SHARD_TIMEOUT_MS`); failures retry with exponential
-//!    backoff up to `ECC_PARITY_SHARD_RETRIES` times. Outcomes classify as
+//!    backoff up to `ECC_PARITY_SHARD_RETRIES` times. The scheduler
+//!    sleeps until an attempt reports, a deadline passes, or a backoff
+//!    expires, so a shard settles the moment it finishes. Outcomes classify as
 //!    [`OutcomeClass::Completed`] / [`Retried`](OutcomeClass::Retried) /
 //!    [`TimedOut`](OutcomeClass::TimedOut) /
 //!    [`Panicked`](OutcomeClass::Panicked) /
@@ -111,11 +115,11 @@ pub enum JournalRecord {
 }
 
 /// Parse a journal file, tolerating damage anywhere: unparsable lines are
-/// skipped and replay continues with the next line. A lone writer only
-/// ever tears the tail (the whole file is republished atomically), but a
-/// distributed campaign has many workers appending concurrently, so a torn
-/// or interleaved line mid-file must not cost the records after it.
-/// Returns the parsed records and whether any damaged line was skipped.
+/// skipped and replay continues with the next line. A lone appending
+/// writer can only tear the final line, but a distributed campaign has
+/// many workers appending concurrently, so a torn or interleaved line
+/// mid-file must not cost the records after it. Returns the parsed
+/// records and whether any damaged line was skipped.
 pub fn replay_journal(path: &Path) -> (Vec<JournalRecord>, bool) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return (Vec::new(), false);
@@ -138,11 +142,11 @@ pub fn replay_journal(path: &Path) -> (Vec<JournalRecord>, bool) {
 }
 
 /// Append one record to a journal as a single `O_APPEND` line write plus
-/// fsync. This is the multi-writer publish path: every worker process of a
-/// distributed campaign appends to the shared journal, and a one-line
-/// append (unlike the whole-file republish of single-process supervision)
-/// cannot clobber a concurrent writer's records. [`replay_journal`]'s
-/// skip-damaged-lines tolerance covers the residual risk of two appends
+/// fsync. Every record after a run's first publish goes this way, in
+/// single-process supervision and in each worker of a distributed
+/// campaign alike; a one-line append cannot clobber a concurrent
+/// writer's records. [`replay_journal`]'s skip-damaged-lines tolerance
+/// covers a line torn by a crash and the residual risk of two appends
 /// interleaving bytes.
 pub fn append_record(path: &Path, rec: &JournalRecord) -> std::io::Result<()> {
     use std::io::Write;
@@ -160,63 +164,96 @@ pub fn append_record(path: &Path, rec: &JournalRecord) -> std::io::Result<()> {
     f.sync_all()
 }
 
-/// The append-only checkpoint journal with atomic whole-file publishes.
+/// Publish `records` as the whole journal at `path`: serialize every
+/// record as one JSON line, write a pid-suffixed temp file, fsync, and
+/// rename it over the journal, so a reader sees the old file or the new
+/// one and never a mix.
+fn publish_journal(path: &Path, records: &[JournalRecord]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut text = String::new();
+    for rec in records {
+        let line = serde_json::to_string(rec)
+            .map_err(|e| std::io::Error::other(format!("serialize journal record: {e}")))?;
+        text.push_str(&line);
+        text.push('\n');
+    }
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(text.as_bytes())?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path)
+}
+
+/// The checkpoint journal as one process writes it. Its first persist
+/// publishes the whole record list ([`publish_journal`]); every later
+/// record is one fsynced append ([`append_record`]). A failed persist
+/// clears `in_sync`, so the next one publishes every record again.
 pub(crate) struct Journal {
-    pub(crate) path: Option<PathBuf>,
-    pub(crate) records: Vec<JournalRecord>,
-    pub(crate) chaos: Chaos,
-    pub(crate) persists: u64,
-    pub(crate) write_failures: u64,
+    path: Option<PathBuf>,
+    records: Vec<JournalRecord>,
+    chaos: Chaos,
+    persists: u64,
+    write_failures: u64,
+    /// The last persist succeeded: the file holds every record pushed
+    /// before the newest, so the newest can go by append.
+    in_sync: bool,
 }
 
 impl Journal {
+    /// A journal of `records`, published whole at once: a fresh run's
+    /// header, or a resumed run's replayed records, which drops any torn
+    /// line a crash left at the tail.
+    pub(crate) fn start(
+        path: Option<PathBuf>,
+        records: Vec<JournalRecord>,
+        chaos: Chaos,
+    ) -> Journal {
+        let mut journal = Journal {
+            path,
+            records,
+            chaos,
+            persists: 0,
+            write_failures: 0,
+            in_sync: false,
+        };
+        journal.persist();
+        journal
+    }
+
     fn append(&mut self, rec: JournalRecord) {
         self.records.push(rec);
         self.persist();
     }
 
-    /// Publish the full record list atomically: serialize every record as
-    /// one JSON line, write to a pid-suffixed temp file, fsync, rename.
+    /// Make the file hold every record, fsynced: append the newest record
+    /// when the file holds all the others, else publish the whole list.
     /// Failures (real, or chaos-simulated ENOSPC) are counted and the run
     /// continues — the journal is a durability optimization, never a
     /// correctness dependency; the records stay in memory, so the next
     /// successful persist publishes everything.
-    pub(crate) fn persist(&mut self) {
+    fn persist(&mut self) {
         let Some(path) = self.path.clone() else {
             return;
         };
         self.persists += 1;
-        if self.chaos.fail_journal_write(self.persists) {
-            self.note_write_failure(&path, "chaos: simulated ENOSPC");
-            return;
-        }
-        let mut text = String::new();
-        for rec in &self.records {
-            match serde_json::to_string(rec) {
-                Ok(line) => {
-                    text.push_str(&line);
-                    text.push('\n');
-                }
-                Err(e) => {
-                    self.note_write_failure(&path, &format!("serialize: {e}"));
-                    return;
-                }
-            }
-        }
-        let published = (|| -> std::io::Result<()> {
-            use std::io::Write;
-            if let Some(dir) = path.parent() {
-                std::fs::create_dir_all(dir)?;
-            }
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, &path)
-        })();
-        if let Err(e) = published {
-            self.note_write_failure(&path, &e.to_string());
+        let written = if self.chaos.fail_journal_write(self.persists) {
+            Err("chaos: simulated ENOSPC".to_string())
+        } else if let (true, Some(last)) = (self.in_sync, self.records.last()) {
+            obs::counter!("supervisor.journal.appends").inc();
+            append_record(&path, last).map_err(|e| e.to_string())
+        } else {
+            obs::counter!("supervisor.journal.publishes").inc();
+            publish_journal(&path, &self.records).map_err(|e| e.to_string())
+        };
+        self.in_sync = written.is_ok();
+        if let Err(why) = written {
+            self.note_write_failure(&path, &why);
         }
     }
 
@@ -756,13 +793,16 @@ impl ClassTally {
 }
 
 /// One in-flight shard attempt.
-struct Running<T> {
+struct Running {
     idx: usize,
     attempt: u32,
     started: Instant,
     deadline: Instant,
-    rx: mpsc::Receiver<Result<T, String>>,
 }
+
+/// What an attempt thread reports: shard index, attempt number, and the
+/// result or panic message.
+type Report<T> = (usize, u32, Result<T, String>);
 
 /// A shard waiting to run (or to retry after backoff).
 struct Pending {
@@ -874,7 +914,6 @@ where
         (Some(path), true) if path.exists() => load_resume_state(cfg, path, total),
         _ => None,
     };
-    let resumed_any = resume_state.is_some();
     let (done, crash_counts, records) = match resume_state {
         Some(s) => (s.done, s.crash_counts, s.records),
         None => (
@@ -888,17 +927,9 @@ where
             }],
         ),
     };
-    let mut journal = Journal {
-        path: journal_path,
-        records,
-        chaos: cfg.chaos,
-        persists: 0,
-        write_failures: 0,
-    };
-    if !resumed_any {
-        // Publish the fresh header before any work runs.
-        journal.persist();
-    }
+    // Publish the fresh header, or the replayed records, before any work
+    // runs; every later record is an append.
+    let mut journal = Journal::start(journal_path, records, cfg.chaos);
 
     let mut ledger = Ledger::open(cfg);
     let mut tally = ClassTally::default();
@@ -985,8 +1016,12 @@ where
 
     // The scheduler loop: keep up to `max_inflight` attempts running under
     // their watchdogs, retrying with backoff, until every shard settles.
+    // Attempt threads report on one shared channel; the loop sleeps until
+    // a report, the earliest watchdog deadline, or — with a slot free —
+    // the earliest backoff expiry, whichever comes first.
     let max_inflight = cfg.max_inflight.max(1);
-    let mut running: Vec<Running<T>> = Vec::new();
+    let (tx, rx) = mpsc::channel::<Report<T>>();
+    let mut running: Vec<Running> = Vec::new();
     while !pending.is_empty() || !running.is_empty() {
         // Launch ready shards into free slots.
         while running.len() < max_inflight {
@@ -1002,9 +1037,10 @@ where
                 p.started_journaled = true;
             }
             let attempt = p.attempts_done + 1;
-            let (tx, rx) = mpsc::channel();
-            let work = Arc::clone(&shards[p.idx].work);
-            let name = shards[p.idx].name.clone();
+            let tx = tx.clone();
+            let idx = p.idx;
+            let work = Arc::clone(&shards[idx].work);
+            let name = shards[idx].name.clone();
             let chaos = cfg.chaos;
             std::thread::spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1016,38 +1052,46 @@ where
                     }
                     work()
                 }));
-                let _ = tx.send(result.map_err(|e| panic_message(e.as_ref())));
+                let _ = tx.send((idx, attempt, result.map_err(|e| panic_message(e.as_ref()))));
             });
             let started = Instant::now();
             running.push(Running {
-                idx: p.idx,
+                idx,
                 attempt,
                 started,
                 deadline: started + cfg.timeout,
-                rx,
             });
         }
 
-        // Poll in-flight attempts.
-        let mut settled_any = false;
-        let mut i = 0;
-        while i < running.len() {
-            let now = Instant::now();
-            let verdict = match running[i].rx.try_recv() {
-                Ok(res) => Some(res),
-                Err(mpsc::TryRecvError::Empty) if now >= running[i].deadline => None,
-                Err(mpsc::TryRecvError::Empty) => {
-                    i += 1;
-                    continue;
-                }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    // Worker died without sending (should be impossible:
-                    // catch_unwind feeds the channel) — treat as a panic.
-                    Some(Err("worker thread died without reporting".to_string()))
-                }
-            };
-            let run = running.remove(i);
-            settled_any = true;
+        // Past the launches, a free slot means no pending shard is ready
+        // yet, and no free slot means an attempt is running: either way
+        // there is a time to wake at.
+        let slot_free = running.len() < max_inflight;
+        let wake = running
+            .iter()
+            .map(|r| r.deadline)
+            .chain(pending.iter().filter(|_| slot_free).map(|p| p.ready_at))
+            .min()
+            .expect("a running attempt or a pending shard");
+        // The loop holds `tx`, so the channel never disconnects; an error
+        // is the timeout.
+        let mut settled: Vec<(Running, Option<Result<T, String>>)> = Vec::new();
+        if let Ok((idx, attempt, res)) =
+            rx.recv_timeout(wake.saturating_duration_since(Instant::now()))
+        {
+            // A report from an attempt the watchdog gave up on is dropped.
+            if let Some(pos) = running
+                .iter()
+                .position(|r| r.idx == idx && r.attempt == attempt)
+            {
+                settled.push((running.remove(pos), Some(res)));
+            }
+        }
+        let now = Instant::now();
+        while let Some(pos) = running.iter().position(|r| r.deadline <= now) {
+            settled.push((running.remove(pos), None));
+        }
+        for (run, verdict) in settled {
             let wall_ms = run.started.elapsed().as_millis() as u64;
             let name = &shards[run.idx].name;
             match verdict {
@@ -1134,22 +1178,12 @@ where
                 }
             }
         }
-        if !settled_any && !running.is_empty() {
-            std::thread::sleep(Duration::from_millis(2));
-        } else if running.is_empty() && !pending.is_empty() {
-            // Everything alive is backing off; sleep until the nearest
-            // retry is ready instead of spinning.
-            if let Some(ready) = pending.iter().map(|p| p.ready_at).min() {
-                let now = Instant::now();
-                if ready > now {
-                    std::thread::sleep((ready - now).min(Duration::from_millis(50)));
-                }
-            }
-        }
     }
 
+    // A resumed shard is tallied under its journaled class too, so the
+    // two success classes already count it.
     journal.append(JournalRecord::RunComplete {
-        succeeded: tally.completed + tally.retried + tally.resumed,
+        succeeded: tally.completed + tally.retried,
     });
 
     // Per-class counters (obs-gated like every other hook).
@@ -1190,5 +1224,62 @@ pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    fn start(shard: &str) -> JournalRecord {
+        JournalRecord::ShardStart {
+            shard: shard.to_string(),
+        }
+    }
+
+    #[test]
+    fn a_failed_append_is_followed_by_a_full_republish() {
+        // A chaos seed that fails the third persist and only that one of
+        // the first five.
+        let chaos = (0..10_000)
+            .map(Chaos::from_seed)
+            .find(|c| {
+                (1..=5)
+                    .map(|n| c.fail_journal_write(n))
+                    .eq([false, false, true, false, false])
+            })
+            .expect("some seed fails exactly the third persist");
+        let dir =
+            std::env::temp_dir().join(format!("eccparity_journal_unit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("j.journal.jsonl");
+        let on_disk = || replay_journal(&path).0;
+
+        // Persist 1 publishes the first record, persist 2 appends.
+        let mut journal = Journal::start(Some(path.clone()), vec![start("header")], chaos);
+        journal.append(start("a"));
+        assert_eq!(on_disk(), journal.records);
+        // Persist 3 fails: the record stays in memory only.
+        journal.append(start("b"));
+        assert_eq!(journal.write_failures, 1);
+        assert_eq!(on_disk(), journal.records[..2]);
+        // Persist 4 republishes every record, replacing the file.
+        let mut old = std::fs::File::open(&path).unwrap();
+        journal.append(start("c"));
+        assert_eq!(on_disk(), journal.records);
+        assert_eq!(on_disk().len(), 4);
+        let mut old_text = String::new();
+        old.read_to_string(&mut old_text).unwrap();
+        assert_eq!(old_text.lines().count(), 2, "the republish is a new file");
+        // Persist 5 appends again, to the same file.
+        let mut current = std::fs::File::open(&path).unwrap();
+        journal.append(start("d"));
+        assert_eq!(on_disk(), journal.records);
+        let mut text = String::new();
+        current.read_to_string(&mut text).unwrap();
+        assert_eq!(text.lines().count(), 5);
+        assert_eq!(journal.write_failures, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,9 +13,9 @@ use eccparity_bench::supervisor::{
     SupervisorConfig, JOURNAL_SCHEMA,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Fresh private temp dir per test (pid + counter; no tempfile dep).
 fn temp_dir() -> PathBuf {
@@ -515,6 +515,261 @@ fn duplicate_shard_names_are_rejected() {
     supervise(
         &test_cfg("dup", &temp_dir()),
         vec![Shard::new("x", || 1u64), Shard::new("x", || 2u64)],
+    );
+}
+
+// ---- scheduler wake-ups -----------------------------------------------------
+
+/// Spin until `flag` is set (ten seconds at most: a test that waits longer
+/// has failed anyway, and its assertions say how).
+fn wait_until(flag: &AtomicBool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn abandoned_attempt_finishing_during_its_retry_is_ignored() {
+    let dir = temp_dir();
+    let mut cfg = test_cfg("stale", &dir);
+    cfg.timeout = Duration::from_millis(200);
+    let calls = Arc::new(AtomicU32::new(0));
+    let retry_started = Arc::new(AtomicBool::new(false));
+    let first_done = Arc::new(AtomicBool::new(false));
+    let (r, f) = (Arc::clone(&retry_started), Arc::clone(&first_done));
+    let run = supervise(
+        &cfg,
+        vec![Shard::new("late", move || {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                // Outlive the watchdog, then report while the retry runs.
+                wait_until(&r);
+                f.store(true, Ordering::SeqCst);
+                1u64
+            } else {
+                r.store(true, Ordering::SeqCst);
+                wait_until(&f);
+                // Let the abandoned attempt's report land first.
+                std::thread::sleep(Duration::from_millis(20));
+                2u64
+            }
+        })],
+    );
+    assert!(first_done.load(Ordering::SeqCst));
+    let o = &run.outcomes[0];
+    assert_eq!(o.class, OutcomeClass::Retried);
+    assert_eq!(o.attempts, 2);
+    assert_eq!(
+        o.result,
+        Some(2),
+        "the abandoned attempt's result must not count"
+    );
+    let (records, _) = replay_journal(&journal_path(&dir, "stale"));
+    let payloads: Vec<&str> = records
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::ShardDone { payload, .. } => Some(payload.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(payloads, ["2"]);
+}
+
+#[test]
+fn retry_waits_out_its_backoff_while_other_shards_run() {
+    let dir = temp_dir();
+    let mut cfg = test_cfg("backoff", &dir);
+    cfg.backoff = Duration::from_millis(150);
+    let calls = Arc::new(Mutex::new(Vec::<Instant>::new()));
+    let c = Arc::clone(&calls);
+    let run = supervise(
+        &cfg,
+        vec![
+            Shard::new("flaky", move || {
+                let mut calls = c.lock().unwrap();
+                calls.push(Instant::now());
+                if calls.len() == 1 {
+                    drop(calls);
+                    panic!("injected first-attempt failure");
+                }
+                1u64
+            }),
+            Shard::new("slow", || {
+                std::thread::sleep(Duration::from_millis(1_500));
+                2u64
+            }),
+        ],
+    );
+    let end = Instant::now();
+    assert_eq!(run.outcomes[0].class, OutcomeClass::Retried);
+    assert_eq!(run.outcomes[1].result, Some(2));
+    let calls = calls.lock().unwrap();
+    let gap = calls[1] - calls[0];
+    assert!(gap >= cfg.backoff, "retry began {gap:?} after the failure");
+    // The retry's slot was free, so it starts when its backoff expires,
+    // not when the slow shard's report next wakes the scheduler.
+    assert!(
+        end - calls[1] > Duration::from_millis(500),
+        "retry began only {:?} before the slow shard ended",
+        end - calls[1]
+    );
+}
+
+#[test]
+fn instant_shards_settle_without_a_poll_quantum() {
+    // Each shard settles the moment it reports: a 2 ms polling loop would
+    // need at least 256 ms for 128 shards run one at a time.
+    let mut cfg = test_cfg("instant", &temp_dir());
+    cfg.dir = None;
+    cfg.max_inflight = 1;
+    let shards: Vec<Shard<u64>> = (0..128u64)
+        .map(|i| Shard::new(format!("i{i}"), move || i))
+        .collect();
+    let t = Instant::now();
+    let run = supervise(&cfg, shards);
+    let elapsed = t.elapsed();
+    assert_eq!(run.into_results(), (0..128u64).collect::<Vec<u64>>());
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "128 instant shards took {elapsed:?}"
+    );
+}
+
+// ---- single-process journal discipline -------------------------------------
+
+/// `records` with every `wall_ms` zeroed (the one field that varies run to
+/// run).
+fn without_wall_ms(records: &[JournalRecord]) -> Vec<JournalRecord> {
+    records
+        .iter()
+        .cloned()
+        .map(|mut r| {
+            if let JournalRecord::ShardDone { wall_ms, .. } = &mut r {
+                *wall_ms = 0;
+            }
+            r
+        })
+        .collect()
+}
+
+/// The journal a clean one-at-a-time run of `counting_shards(n)` writes.
+fn expected_journal(campaign: &str, n: u64) -> Vec<JournalRecord> {
+    let mut want = vec![JournalRecord::Header {
+        schema: JOURNAL_SCHEMA.to_string(),
+        campaign: campaign.to_string(),
+        config_key: "test-v1".to_string(),
+        total_shards: n,
+    }];
+    for i in 0..n {
+        let payload = (i * i + 7).to_string();
+        want.push(JournalRecord::ShardStart {
+            shard: format!("s{i}"),
+        });
+        want.push(JournalRecord::ShardDone {
+            shard: format!("s{i}"),
+            class: "completed".to_string(),
+            attempts: 1,
+            wall_ms: 0,
+            checksum: fnv1a64(payload.as_bytes()),
+            payload,
+            token: 0,
+        });
+    }
+    want.push(JournalRecord::RunComplete { succeeded: n });
+    want
+}
+
+#[test]
+fn fresh_journal_is_published_once_then_appended() {
+    let dir = temp_dir();
+    let mut cfg = test_cfg("appends", &dir);
+    cfg.max_inflight = 1;
+    let path = journal_path(&dir, "appends");
+    // What each shard found on disk when it ran, and the journal file as
+    // the first shard found it, held open to the end.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let held = Arc::new(Mutex::new(None));
+    let shards: Vec<Shard<u64>> = (0..4u64)
+        .map(|i| {
+            let (path, seen, held) = (path.clone(), Arc::clone(&seen), Arc::clone(&held));
+            Shard::new(format!("s{i}"), move || {
+                let (records, damaged) = replay_journal(&path);
+                assert!(!damaged);
+                seen.lock().unwrap().push(without_wall_ms(&records));
+                held.lock()
+                    .unwrap()
+                    .get_or_insert_with(|| std::fs::File::open(&path).unwrap());
+                i * i + 7
+            })
+        })
+        .collect();
+    assert!(supervise(&cfg, shards).all_succeeded());
+
+    let want = expected_journal("appends", 4);
+    let (records, damaged) = replay_journal(&path);
+    assert!(!damaged);
+    assert_eq!(without_wall_ms(&records), want);
+    // Every record is on disk before the run moves on: shard i sees the
+    // header, the i shards before it, and its own start.
+    for (i, prefix) in seen.lock().unwrap().iter().enumerate() {
+        assert_eq!(
+            prefix[..],
+            want[..2 + 2 * i],
+            "journal as shard s{i} saw it"
+        );
+    }
+    // The file the first shard opened is the finished journal: nothing
+    // after the header was published by replacing the file.
+    let mut text = String::new();
+    use std::io::Read;
+    held.lock()
+        .unwrap()
+        .take()
+        .unwrap()
+        .read_to_string(&mut text)
+        .unwrap();
+    assert_eq!(text, std::fs::read_to_string(&path).unwrap());
+}
+
+#[test]
+fn resume_compacts_a_torn_final_line_and_keeps_every_record() {
+    let dir = temp_dir();
+    let mut cfg = test_cfg("torn_resume", &dir);
+    cfg.max_inflight = 1;
+    let executed = Arc::new(AtomicU32::new(0));
+    let want = supervise(&cfg, counting_shards(3, &executed)).into_results();
+
+    // A crash mid-append of s2's start: the journal ends in half a line.
+    let path = journal_path(&dir, "torn_resume");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut kept = String::new();
+    let mut torn = String::new();
+    for line in text.lines() {
+        if line.contains("\"s2\"") || line.contains("RunComplete") {
+            if torn.is_empty() {
+                torn = line[..line.len() / 2].to_string();
+            }
+        } else {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+    }
+    std::fs::write(&path, format!("{kept}{torn}")).unwrap();
+    let (before, damaged) = replay_journal(&path);
+    assert!(damaged, "the fixture must end in a torn line");
+
+    executed.store(0, Ordering::Relaxed);
+    cfg.resume = true;
+    let second = supervise(&cfg, counting_shards(3, &executed));
+    assert_eq!(executed.load(Ordering::Relaxed), 1, "only s2 re-executes");
+    assert_eq!(second.into_results(), want);
+
+    let (after, damaged) = replay_journal(&path);
+    assert!(!damaged, "the resumed run must compact the torn line away");
+    assert_eq!(after[..before.len()], before[..], "no record may be lost");
+    assert_eq!(
+        without_wall_ms(&after[before.len()..]),
+        expected_journal("torn_resume", 3)[5..]
     );
 }
 

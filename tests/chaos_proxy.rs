@@ -35,14 +35,6 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn wait_for(path: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !path.exists() {
-        assert!(Instant::now() < deadline, "{path:?} never appeared");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 fn start_daemon(
     sock: &Path,
     shards: u32,
@@ -69,16 +61,7 @@ fn start_daemon(
         cmd.env("ECC_PARITY_SERVICE_CHAOS", "9");
     }
     let child = cmd.spawn().expect("spawn eccparityd");
-    // The socket file exists from bind() on, before listen(): the daemon
-    // is ready once a connection succeeds.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while UnixStream::connect(sock).is_err() {
-        assert!(
-            Instant::now() < deadline,
-            "daemon never listened on {sock:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    common::wait_listening(sock);
     child
 }
 
@@ -156,7 +139,10 @@ fn chaosproxy_run_matches_golden_and_attributes_every_reject_evented() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn chaosproxy");
-    wait_for(&proxy_sock);
+    // No readiness probe: a `--once` proxy relays exactly one connection,
+    // so a probe would take the loadgen's place. The loadgen retries its
+    // connect until the proxy listens.
+    //
     // Checkpoint after ingest (through the proxy), so the later SIGKILL
     // has a journal to resume from; queries written for the transcript
     // comparison. No --shutdown: the daemon must outlive the proxy.

@@ -1,9 +1,24 @@
-//! Seeded generators shared by the root test crates. Each crate that
-//! declares `mod common;` uses a subset, so unused items are allowed.
+//! Seeded generators and process helpers shared by the root test crates.
+//! Each crate that declares `mod common;` uses a subset, so unused items
+//! are allowed.
 #![allow(dead_code)]
 
 use eccparity_service::rpc::Event;
 use eccparity_service::state::Geometry;
+use std::os::unix::net::UnixStream;
+use std::path::Path;
+use std::time::{Duration, Instant};
+
+/// Wait until something listens on the Unix socket `sock`. The socket
+/// file exists from `bind()` on, before `listen()`, so its existence is
+/// no sign of readiness: a listener is ready once a connection succeeds.
+pub fn wait_listening(sock: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while UnixStream::connect(sock).is_err() {
+        assert!(Instant::now() < deadline, "nothing listened on {sock:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
 
 /// SplitMix64: a self-contained seeded generator.
 pub struct Mix(pub u64);

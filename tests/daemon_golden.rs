@@ -20,7 +20,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("eccparityd-golden-{tag}-{}", std::process::id()));
@@ -43,16 +43,7 @@ fn start_daemon(sock: &Path, force_poll: bool, extra: &[&str]) -> Child {
         cmd.env("ECC_PARITY_FORCE_POLL", "1");
     }
     let child = cmd.spawn().expect("spawn eccparityd");
-    // The socket file exists from bind() on, before listen(): the daemon
-    // is ready once a connection succeeds.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while UnixStream::connect(sock).is_err() {
-        assert!(
-            Instant::now() < deadline,
-            "daemon never listened on {sock:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    common::wait_listening(sock);
     child
 }
 

@@ -18,6 +18,8 @@
 //! ~50k events/s sanity floor here (slow CI boxes under load must not
 //! flake tier-1).
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -58,12 +60,7 @@ fn start_daemon(sock: &Path, shards: u32, state_dir: Option<&Path>, resume: bool
         cmd.arg("--resume");
     }
     let child = cmd.spawn().expect("spawn eccparityd");
-    // Wait for the listener: the socket file appearing means bind() ran.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !sock.exists() {
-        assert!(Instant::now() < deadline, "daemon never bound {sock:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    common::wait_listening(sock);
     child
 }
 
@@ -244,11 +241,7 @@ fn hostile_ingest_suite_attributes_every_rejection() {
         .stdout(Stdio::null())
         .stderr(Stdio::null());
     let mut daemon = cmd.spawn().expect("spawn eccparityd");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !sock.exists() {
-        assert!(Instant::now() < deadline, "daemon never bound {sock:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    common::wait_listening(&sock);
 
     let stream = UnixStream::connect(&sock).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
