@@ -290,11 +290,10 @@ fn proc_thread_and_rss() -> (u64, u64) {
     (threads, rss)
 }
 
+/// Non-empty lines in a batch: what a shed, refused or abandoned batch
+/// loses. Counted only on those paths, never for a batch that lands.
 fn count_lines(bytes: &[u8]) -> u64 {
-    bytes
-        .split(|&b| b == b'\n')
-        .filter(|l| !l.is_empty())
-        .count() as u64
+    rpc::batch_lines(bytes).count() as u64
 }
 
 fn backoff_ms(base: u64, failures: u64) -> u64 {
@@ -579,7 +578,6 @@ fn apply_batch(inner: &EngineInner, shard: usize, state: &mut ShardState, bytes:
     if let Some(ms) = chaos.batch_stall_ms(shard as u64, batch_no) {
         std::thread::sleep(Duration::from_millis(ms));
     }
-    let total_lines = count_lines(&bytes);
     let batch_start_lines = state.lines_consumed();
     let mut attempt = 0u32;
     loop {
@@ -598,11 +596,7 @@ fn apply_batch(inner: &EngineInner, shard: usize, state: &mut ShardState, bytes:
             if chaos.batch_panic(shard as u64, batch_no, attempt) {
                 panic!("injected batch panic (service chaos)");
             }
-            for line in bytes.split(|&b| b == b'\n') {
-                if !line.is_empty() {
-                    state.apply_line(line);
-                }
-            }
+            state.apply_batch(&bytes);
         }));
         let applied = state.applied - before_applied;
         let rejected = state.rejected - before_rejected;
@@ -631,7 +625,7 @@ fn apply_batch(inner: &EngineInner, shard: usize, state: &mut ShardState, bytes:
                 // batch is the only safe move — count every line that
                 // never landed.
                 let consumed = state.lines_consumed() - batch_start_lines;
-                let lost = total_lines.saturating_sub(consumed);
+                let lost = count_lines(&bytes).saturating_sub(consumed);
                 slot.applied_since_ckpt.fetch_add(applied, Ordering::SeqCst);
                 inner.panic_lost_lines.fetch_add(lost, Ordering::Relaxed);
                 if lost > 0 {
@@ -1583,6 +1577,58 @@ mod tests {
     }
 
     #[test]
+    fn abandoned_batches_count_their_nonempty_lines_lost() {
+        obs::metrics::set_enabled(true);
+        let panic_lines = || obs::counter!("service.shed.panic_lines").get();
+        let before = panic_lines();
+        // No retries: every injected first-attempt panic abandons its batch.
+        let chaos = ServiceChaos::explicit(13, 2, 0);
+        let engine = Engine::start(EngineConfig {
+            shards: 1,
+            batch_retries: 0,
+            chaos,
+            ..EngineConfig::default()
+        });
+        let (mut lost, mut landed, mut abandoned) = (0u64, 0u64, 0u64);
+        for b in 0..40u64 {
+            // Blank lines before, between and after; a garbage line; and
+            // sometimes no final newline.
+            let mut batch = b"\n".repeat(b as usize % 3);
+            let events = 1 + b % 5;
+            for i in 0..events {
+                batch.extend(line(b, (i % 8) as u32, 0, i as u32).into_bytes());
+                batch.extend_from_slice(if i % 2 == 0 { b"\n\n" } else { b"\n" });
+            }
+            batch.extend_from_slice(b"not json\n\n");
+            if b % 4 == 0 {
+                batch.extend(line(b, 1, 1, 1).into_bytes());
+            }
+            let lines = batch
+                .split(|&c| c == b'\n')
+                .filter(|l| !l.is_empty())
+                .count() as u64;
+            let events = lines - 1;
+            if chaos.batch_panic(0, b, 1) {
+                lost += lines;
+                abandoned += 1;
+            } else {
+                landed += events;
+            }
+            engine.send_batch(0, batch);
+        }
+        engine.barrier();
+        assert!(
+            abandoned > 0 && abandoned < 40,
+            "{abandoned} of 40 abandoned"
+        );
+        assert_eq!(stats_field(&engine, "batch_panics"), abandoned);
+        assert_eq!(stats_field(&engine, "panic_lost_lines"), lost);
+        assert_eq!(panic_lines() - before, lost);
+        assert_eq!(stats_field(&engine, "events_ingested"), landed);
+        engine.shutdown();
+    }
+
+    #[test]
     fn shed_policy_accounts_every_dropped_line() {
         let engine = Engine::start(EngineConfig {
             shards: 1,
@@ -1594,8 +1640,10 @@ mod tests {
         });
         let total = 60u64;
         for i in 0..total {
-            let mut batch = line(0, (i % 8) as u32, (i % 16) as u32, i as u32).into_bytes();
-            batch.push(b'\n');
+            // One line between blank ones: a shed batch counts one line.
+            let mut batch = b"\n".to_vec();
+            batch.extend(line(0, (i % 8) as u32, (i % 16) as u32, i as u32).into_bytes());
+            batch.extend_from_slice(b"\n\n");
             engine.send_batch(0, batch);
         }
         engine.barrier();

@@ -95,6 +95,52 @@ pub enum Request {
     Query(Query),
 }
 
+// ---- line splitting --------------------------------------------------------
+
+/// Offset of the first `\n` in `bytes`, searched eight bytes at a time.
+///
+/// Each little-endian word is XORed with `\n` in every byte, so a newline
+/// becomes a zero byte, and `(x - 0x01…01) & !x & 0x80…80` flags it. The
+/// subtraction's borrow can flag bytes *above* a zero byte too, never
+/// below one, so the lowest flag is always the first newline. The tail
+/// shorter than a word is searched byte by byte.
+#[inline]
+pub(crate) fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ NEWLINES;
+        let hit = x.wrapping_sub(ONES) & !x & HIGHS;
+        if hit != 0 {
+            return Some(at + (hit.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|i| at + i)
+}
+
+/// The non-empty lines of a shard batch, newlines stripped: what
+/// `batch.split(|&b| b == b'\n').filter(|l| !l.is_empty())` yields, found
+/// with [`find_newline`].
+pub(crate) fn batch_lines(batch: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = batch;
+    std::iter::from_fn(move || loop {
+        if rest.is_empty() {
+            return None;
+        }
+        let end = find_newline(rest).unwrap_or(rest.len());
+        let line = &rest[..end];
+        rest = &rest[(end + 1).min(rest.len())..];
+        if !line.is_empty() {
+            return Some(line);
+        }
+    })
+}
+
 // ---- fast path -------------------------------------------------------------
 
 /// Single-pass cursor over a compact-form line. Every helper either
@@ -279,6 +325,16 @@ pub fn parse_line(line: &[u8]) -> Result<Request, String> {
     }
 }
 
+/// The event a line routed to a shard carries: [`parse_line`]'s event, or
+/// `None` for a query or a malformed line (both rejected as parse
+/// failures by the shard).
+pub(crate) fn parse_event(line: &[u8]) -> Option<Event> {
+    match parse_line(line) {
+        Ok(Request::Event(ev)) => Some(ev),
+        _ => None,
+    }
+}
+
 /// The tolerant path alone: a full JSON parse of any request line. This
 /// is the definition of validity that [`fast_event`] and [`fast_route`]
 /// shortcut.
@@ -434,8 +490,78 @@ pub fn refusal_response_into(out: &mut String, code: &str, msg: &str) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `\n` and the bytes a word-at-a-time search can mistake for it: its
+    /// high-bit twin, its neighbours, and the extremes.
+    const NEAR_NEWLINE: [u8; 6] = [0x0A, 0x8A, 0x0B, 0x09, 0x00, 0xFF];
+
+    /// Buffers of every length 0..=64 built from [`NEAR_NEWLINE`]: with no
+    /// newline, with one newline at each position, and with a rotating
+    /// mix of all six bytes.
+    pub(crate) fn newline_buffers() -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for len in 0..=64usize {
+            out.push((0..len).map(|i| NEAR_NEWLINE[1 + i % 5]).collect());
+            for nl in 0..len {
+                let mut buf: Vec<u8> = (0..len).map(|i| NEAR_NEWLINE[1 + (i + len) % 5]).collect();
+                buf[nl] = b'\n';
+                out.push(buf);
+            }
+            out.push((0..len).map(|i| NEAR_NEWLINE[(i * 7 + len) % 6]).collect());
+        }
+        out
+    }
+
+    /// The splitter this crate used before [`batch_lines`].
+    fn split_nonempty(batch: &[u8]) -> Vec<&[u8]> {
+        batch
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty())
+            .collect()
+    }
+
+    fn check_newline_search(bytes: &[u8]) {
+        assert_eq!(
+            find_newline(bytes),
+            bytes.iter().position(|&b| b == b'\n'),
+            "{bytes:02x?}"
+        );
+        assert_eq!(
+            batch_lines(bytes).collect::<Vec<_>>(),
+            split_nonempty(bytes),
+            "{bytes:02x?}"
+        );
+    }
+
+    #[test]
+    fn newline_search_matches_position_at_every_length_and_alignment() {
+        for buf in newline_buffers() {
+            // The same bytes starting at each offset of an 8-byte word.
+            for align in 0..8 {
+                let mut backing = vec![0xA5; align];
+                backing.extend_from_slice(&buf);
+                check_newline_search(&backing[align..]);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn newline_search_matches_position_on_random_buffers(
+            picks in prop::collection::vec((0u8..10, any::<u8>()), 0..300),
+            align in 0usize..8,
+        ) {
+            // Mostly newline-adjacent bytes, with arbitrary ones mixed in.
+            let mut backing = vec![0x5A; align];
+            backing.extend(picks.iter().map(|&(which, byte)| {
+                NEAR_NEWLINE.get(usize::from(which)).copied().unwrap_or(byte)
+            }));
+            check_newline_search(&backing[align..]);
+        }
+    }
 
     #[test]
     fn fast_and_tolerant_paths_agree() {

@@ -233,7 +233,7 @@ impl LineBuf {
         on: &mut dyn FnMut(Scan<'_>) -> LineOutcome,
     ) -> LineOutcome {
         if self.discarding {
-            match data.iter().position(|&b| b == b'\n') {
+            match rpc::find_newline(data) {
                 Some(nl) => {
                     data = &data[nl + 1..];
                     self.discarding = false;
@@ -247,7 +247,7 @@ impl LineBuf {
         let mut search = self.pending.len();
         self.pending.extend_from_slice(data);
         let mut start = 0;
-        while let Some(nl) = self.pending[search..].iter().position(|&b| b == b'\n') {
+        while let Some(nl) = rpc::find_newline(&self.pending[search..]) {
             let end = search + nl;
             let line = &self.pending[start..end];
             let outcome = on(if line.len() > max_line_bytes {
@@ -667,6 +667,22 @@ mod tests {
                     want,
                     "case {case} (cap {max}), cuts {cuts:?}"
                 );
+            }
+        }
+        // The newline-search oracle's buffers: every length to 64 of
+        // newline-adjacent bytes, whole, byte-dripped and cut at each
+        // word boundary, under a cap they fit and one some lines pass.
+        for stream in crate::rpc::tests::newline_buffers() {
+            for max in [16, 1024] {
+                let want = split_whole(&stream, max);
+                let words: Vec<usize> = (8..stream.len()).step_by(8).collect();
+                for cuts in [Vec::new(), (1..stream.len()).collect(), words] {
+                    assert_eq!(
+                        split_chunked(&stream, max, &cuts),
+                        want,
+                        "{stream:02x?} (cap {max}), cuts {cuts:?}"
+                    );
+                }
             }
         }
     }

@@ -8,10 +8,13 @@
 //! independent of the shard count.
 
 use crate::push::{Tier, Transition};
-use crate::rpc::Event;
+use crate::rpc::{self, Event};
 use ecc_parity::health::{HealthAction, HealthTable};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// Fleet-wide node geometry: every node's health table has this shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +61,72 @@ impl Geometry {
     }
 }
 
+// ---- hashing ---------------------------------------------------------------
+
+/// The hasher of the shard's integer-keyed maps (node slots, page ledgers):
+/// one folded 64×64→128-bit multiply per word written, where std's SipHash
+/// runs its rounds. Node and row ids come from clients, so the state the
+/// multiplies start from and the multiplier are drawn once per process
+/// from std's random SipHash keys: a stream of ids crafted to land in one
+/// bucket cannot be computed ahead of time.
+#[derive(Debug, Clone, Copy)]
+struct FoldState {
+    start: u64,
+    mul: u64,
+}
+
+impl Default for FoldState {
+    fn default() -> FoldState {
+        static SEED: OnceLock<FoldState> = OnceLock::new();
+        *SEED.get_or_init(|| {
+            let random = RandomState::new();
+            FoldState {
+                start: random.hash_one(0u64),
+                // Odd: multiplying by it is a bijection modulo 2^64, so
+                // the product's low half loses no bit of the word.
+                mul: random.hash_one(1u64) | 1,
+            }
+        })
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            acc: self.start,
+            mul: self.mul,
+        }
+    }
+}
+
+struct FoldHasher {
+    acc: u64,
+    mul: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn write_u64(&mut self, word: u64) {
+        let p = u128::from(self.acc ^ word) * u128::from(self.mul);
+        self.acc = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn finish(&self) -> u64 {
+        self.acc
+    }
+}
+
+type FoldMap<K, V> = HashMap<K, V, FoldState>;
+
 /// Risk score at which a node counts as "at risk" in the fleet posture.
 pub const AT_RISK_PPM: u64 = 500_000;
 
@@ -95,9 +164,11 @@ pub struct NodeHealth {
     /// Events ingested for this node (persisted, so restarted daemons
     /// answer fleet queries identically).
     events: u64,
-    /// Per-page corrected-error counts, keyed `(channel, bank, row)`.
-    /// BTreeMap so snapshots and top-K walks are deterministically ordered.
-    pages: BTreeMap<(u32, u32, u32), u32>,
+    /// Per-page corrected-error counts, keyed `(channel, bank, row)` in
+    /// full, so no geometry can make two pages share an entry. Unordered:
+    /// `snapshot` sorts a node's pages, and `top_pages` breaks count ties
+    /// on the whole address.
+    pages: FoldMap<(u32, u32, u32), u32>,
     /// Largest count in `pages` (0 when empty) — lets `top_pages` skip a
     /// node whose best page cannot enter the current top-K. Derived
     /// state: never persisted, re-derived from `pages` on restore.
@@ -116,7 +187,7 @@ impl NodeHealth {
         NodeHealth {
             table: HealthTable::new(geom.channels as usize, geom.banks as usize, geom.threshold),
             events: 0,
-            pages: BTreeMap::new(),
+            pages: FoldMap::default(),
             max_ce: 0,
             inputs: RiskInputs::default(),
             tier: Tier::Nominal,
@@ -740,7 +811,7 @@ pub struct ShardState {
     /// The partition's nodes, in arrival order.
     slab: Vec<NodeHealth>,
     /// Node id → index into `slab`.
-    slots: HashMap<u64, usize>,
+    slots: FoldMap<u64, usize>,
     /// `(node id, slab index)` for every node, ascending by id.
     order: Vec<(u64, usize)>,
     /// Running sums of `events`, `faulty_pairs`, `retired_pages`,
@@ -764,6 +835,9 @@ pub struct ShardState {
     /// [`ShardState::take_transitions`] — the shard worker drains these
     /// into the push hub after every batch.
     pending_transitions: Vec<Transition>,
+    /// [`ShardState::apply_batch`]'s parsed lines, kept between batches
+    /// for its allocation.
+    parsed: Vec<Option<Event>>,
 }
 
 impl ShardState {
@@ -772,7 +846,7 @@ impl ShardState {
         ShardState {
             geom,
             slab: Vec::new(),
-            slots: HashMap::new(),
+            slots: FoldMap::default(),
             order: Vec::new(),
             totals: ShardAgg::default(),
             applied: 0,
@@ -781,6 +855,7 @@ impl ShardState {
             rejected_parse: 0,
             rejected_geometry: 0,
             pending_transitions: Vec::new(),
+            parsed: Vec::new(),
         }
     }
 
@@ -834,17 +909,36 @@ impl ShardState {
     /// Queries and malformed lines are rejected (counted, with the
     /// rejection reason attributed), never fatal.
     pub fn apply_line(&mut self, line: &[u8]) {
-        match crate::rpc::parse_line(line) {
-            Ok(crate::rpc::Request::Event(ev)) => {
-                if self.apply_event(&ev) {
-                    self.applied += u64::from(ev.count);
-                    self.lines_ok += 1;
-                } else {
-                    self.rejected += 1;
-                    self.rejected_geometry += 1;
-                }
+        self.apply_parsed(rpc::parse_event(line));
+    }
+
+    /// Apply a shard batch of newline-terminated request lines, skipping
+    /// empty ones: the same as [`ShardState::apply_line`] on each line in
+    /// order. Every line is parsed before any is applied, so the apply
+    /// loop runs without the parser between its node and page lookups.
+    pub fn apply_batch(&mut self, batch: &[u8]) {
+        let mut parsed = std::mem::take(&mut self.parsed);
+        parsed.clear();
+        parsed.extend(rpc::batch_lines(batch).map(rpc::parse_event));
+        for &ev in &parsed {
+            self.apply_parsed(ev);
+        }
+        self.parsed = parsed;
+    }
+
+    /// Apply one parsed line: an event, or `None` for a line that did not
+    /// parse as one.
+    fn apply_parsed(&mut self, ev: Option<Event>) {
+        match ev {
+            Some(ev) if self.apply_event(&ev) => {
+                self.applied += u64::from(ev.count);
+                self.lines_ok += 1;
             }
-            _ => {
+            Some(_) => {
+                self.rejected += 1;
+                self.rejected_geometry += 1;
+            }
+            None => {
                 self.rejected += 1;
                 self.rejected_parse += 1;
             }
@@ -934,13 +1028,13 @@ impl ShardState {
     /// address.
     ///
     /// A bounded selection rather than a sort of every page: a max-heap
-    /// holds the best `k` seen so far with the worst on top. Nodes are
-    /// walked in ascending id and each node's pages in ascending address,
-    /// so once the heap is full a candidate that only ties the worst
-    /// entry's count always loses the address tie-break. That prunes
-    /// every page with `ce <= worst.ce`, and every node whose `max_ce`
-    /// is no higher without touching its pages. `retired` is looked up
-    /// for the winners only.
+    /// holds the best `k` seen so far with the worst on top, and a page
+    /// replaces the worst when its full key sorts first. Nodes are walked
+    /// in ascending id, so once the heap is full every kept page belongs
+    /// to a lower node id than the one walked: a node whose `max_ce` is no
+    /// higher than the worst kept count loses every tie and is skipped
+    /// without touching its pages. `retired` is looked up for the winners
+    /// only.
     pub fn top_pages(&self, k: usize) -> Vec<PageRisk> {
         if k == 0 {
             return Vec::new();
@@ -959,7 +1053,7 @@ impl ShardState {
                 if heap.len() < k {
                     heap.push(key);
                 } else if let Some(mut worst) = heap.peek_mut() {
-                    if ce > worst.0 .0 {
+                    if key < *worst {
                         *worst = key;
                     }
                 }
@@ -986,16 +1080,15 @@ impl ShardState {
             .collect()
     }
 
-    /// Serialize this partition (nodes sorted by id).
+    /// Serialize this partition (nodes sorted by id, each node's pages by
+    /// address).
     pub fn snapshot(&self, shard: u64) -> ShardSnapshot {
         ShardSnapshot {
             shard,
             nodes: self
                 .in_id_order()
-                .map(|(node, nh)| NodeSnapshot {
-                    node,
-                    events: nh.events,
-                    pages: nh
+                .map(|(node, nh)| {
+                    let mut pages: Vec<PageCount> = nh
                         .pages
                         .iter()
                         .map(|(&(channel, bank, row), &count)| PageCount {
@@ -1004,8 +1097,14 @@ impl ShardState {
                             row,
                             count,
                         })
-                        .collect(),
-                    health: nh.table.clone(),
+                        .collect();
+                    pages.sort_unstable_by_key(|p| (p.channel, p.bank, p.row));
+                    NodeSnapshot {
+                        node,
+                        events: nh.events,
+                        pages,
+                        health: nh.table.clone(),
+                    }
                 })
                 .collect(),
         }

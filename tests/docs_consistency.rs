@@ -16,6 +16,9 @@
 //!    `eccparityd` and `eccparity-loadgen` argument parsers accept has a
 //!    row in that binary's flag table in `docs/OPERATIONS.md`, and every
 //!    flag in those tables is still parsed.
+//! 5. **Daemon metrics are named** — every `counter!` / `histogram!` /
+//!    `gauge!` name emitted under `crates/service/src` appears in
+//!    `ARCHITECTURE.md` or `docs/OPERATIONS.md`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -328,4 +331,61 @@ fn flag_tables_match_the_argument_parsers() {
             "docs/OPERATIONS.md documents {bin} flags it no longer parses: {stale:?}"
         );
     }
+}
+
+/// The metric names of every `counter!("…")`, `histogram!("…")` and
+/// `gauge!("…")` in `text`.
+fn metric_names(text: &str, into: &mut BTreeSet<String>) {
+    for mac in ["counter!(", "histogram!(", "gauge!("] {
+        let mut from = 0;
+        while let Some(pos) = text[from..].find(mac) {
+            let rest = text[from + pos + mac.len()..].trim_start();
+            if let Some(lit) = rest.strip_prefix('"') {
+                let end = lit.find('"').expect("a closed metric name literal");
+                into.insert(lit[..end].to_string());
+            }
+            from += pos + mac.len();
+        }
+    }
+}
+
+/// Is `name` in `doc` as a whole metric name, not as a prefix or suffix
+/// of a longer one?
+fn names_metric(doc: &str, name: &str) -> bool {
+    let part_of_name = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'.';
+    doc.match_indices(name).any(|(at, _)| {
+        let before = doc.as_bytes()[..at].last().copied();
+        let after = doc.as_bytes().get(at + name.len()).copied();
+        !before.is_some_and(part_of_name) && !after.is_some_and(part_of_name)
+    })
+}
+
+#[test]
+fn every_daemon_metric_is_documented() {
+    let mut names = BTreeSet::new();
+    let dir = repo_root().join("crates/service/src");
+    for entry in std::fs::read_dir(&dir).expect("read crates/service/src") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("read service source");
+            metric_names(&text, &mut names);
+        }
+    }
+    assert!(
+        names.len() >= 30 && names.contains("service.events_ingested"),
+        "metric extraction looks broken: {names:?}"
+    );
+    let docs: Vec<String> = ["ARCHITECTURE.md", "docs/OPERATIONS.md"]
+        .iter()
+        .map(|d| std::fs::read_to_string(repo_root().join(d)).expect("read doc"))
+        .collect();
+    let undocumented: Vec<&String> = names
+        .iter()
+        .filter(|n| !docs.iter().any(|d| names_metric(d, n)))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "crates/service/src emits metrics that neither ARCHITECTURE.md nor \
+         docs/OPERATIONS.md names: {undocumented:?}"
+    );
 }
