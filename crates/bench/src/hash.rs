@@ -5,12 +5,17 @@
 /// carries enough context (full key strings, payload re-verification) that
 /// a collision degrades to a miss or a re-execution, never a wrong result.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(FNV1A64_EMPTY, |h, &b| fnv1a64_step(h, b))
+}
+
+/// FNV-1a of no bytes: the state [`fnv1a64_step`] starts from.
+pub(crate) const FNV1A64_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one more byte into an FNV-1a state, for callers that hash bytes
+/// as they produce them.
+#[inline]
+pub(crate) fn fnv1a64_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@
 //! converges to the fault-free results with zero lost shards.
 
 use crate::chaos::Chaos;
-use crate::hash::fnv1a64;
+use crate::hash::{fnv1a64, fnv1a64_step, FNV1A64_EMPTY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,7 +63,9 @@ pub const FAILURES_SCHEMA: &str = "eccparity-failures-v1";
 // ---- journal ---------------------------------------------------------------
 
 /// One record of the checkpoint journal (externally tagged JSON, one per
-/// line).
+/// line). Lines are written and read by [`JournalRecord::write_line`] and
+/// [`replay_lines`]; the serde derive is the reference those are held to
+/// (`tests/journal_codec_oracle.rs`), not a production path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JournalRecord {
     /// First line: identifies the campaign and the exact work list. A
@@ -114,30 +116,354 @@ pub enum JournalRecord {
     },
 }
 
-/// Parse a journal file, tolerating damage anywhere: unparsable lines are
-/// skipped and replay continues with the next line. A lone appending
-/// writer can only tear the final line, but a distributed campaign has
-/// many workers appending concurrently, so a torn or interleaved line
-/// mid-file must not cost the records after it. Returns the parsed
-/// records and whether any damaged line was skipped.
+/// A [`JournalRecord`] whose strings are borrowed from the journal bytes
+/// [`replay_lines`] decoded them in, so no payload is copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // the fields are those of `JournalRecord`
+pub enum RecordRef<'a> {
+    Header {
+        schema: &'a str,
+        campaign: &'a str,
+        config_key: &'a str,
+        total_shards: u64,
+    },
+    ShardStart {
+        shard: &'a str,
+    },
+    ShardDone {
+        shard: &'a str,
+        class: &'a str,
+        attempts: u32,
+        wall_ms: u64,
+        checksum: u64,
+        payload: &'a str,
+        token: u64,
+    },
+    RunComplete {
+        succeeded: u64,
+    },
+}
+
+impl RecordRef<'_> {
+    /// The owned record.
+    pub fn to_record(self) -> JournalRecord {
+        match self {
+            RecordRef::Header {
+                schema,
+                campaign,
+                config_key,
+                total_shards,
+            } => JournalRecord::Header {
+                schema: schema.to_string(),
+                campaign: campaign.to_string(),
+                config_key: config_key.to_string(),
+                total_shards,
+            },
+            RecordRef::ShardStart { shard } => JournalRecord::ShardStart {
+                shard: shard.to_string(),
+            },
+            RecordRef::ShardDone {
+                shard,
+                class,
+                attempts,
+                wall_ms,
+                checksum,
+                payload,
+                token,
+            } => JournalRecord::ShardDone {
+                shard: shard.to_string(),
+                class: class.to_string(),
+                attempts,
+                wall_ms,
+                checksum,
+                payload: payload.to_string(),
+                token,
+            },
+            RecordRef::RunComplete { succeeded } => JournalRecord::RunComplete { succeeded },
+        }
+    }
+}
+
+impl JournalRecord {
+    /// Append this record's journal line, newline included. The line is
+    /// the canonical form: exactly the bytes `serde_json::to_string` writes
+    /// for the record (externally tagged, fields in declaration order, no
+    /// whitespace), which is the only form [`replay_lines`] reads.
+    pub fn write_line(&self, out: &mut String) {
+        use std::fmt::Write;
+        // Writing to a `String` cannot fail.
+        let _ = match self {
+            JournalRecord::Header {
+                schema,
+                campaign,
+                config_key,
+                total_shards,
+            } => write!(
+                out,
+                "{{\"Header\":{{\"schema\":{},\"campaign\":{},\"config_key\":{},\"total_shards\":{total_shards}",
+                JsonStr(schema),
+                JsonStr(campaign),
+                JsonStr(config_key)
+            ),
+            JournalRecord::ShardStart { shard } => {
+                write!(out, "{{\"ShardStart\":{{\"shard\":{}", JsonStr(shard))
+            }
+            JournalRecord::ShardDone {
+                shard,
+                class,
+                attempts,
+                wall_ms,
+                checksum,
+                payload,
+                token,
+            } => write!(
+                out,
+                "{{\"ShardDone\":{{\"shard\":{},\"class\":{},\"attempts\":{attempts},\"wall_ms\":{wall_ms},\"checksum\":{checksum},\"payload\":{},\"token\":{token}",
+                JsonStr(shard),
+                JsonStr(class),
+                JsonStr(payload)
+            ),
+            JournalRecord::RunComplete { succeeded } => {
+                write!(out, "{{\"RunComplete\":{{\"succeeded\":{succeeded}")
+            }
+        };
+        out.push_str("}}\n");
+    }
+}
+
+/// A string written as JSON the way serde_json writes one: `"` and `\`
+/// backslashed, `\n \r \t \b \f` by their short escapes, every other
+/// control character as `\u00xx`, and everything else (DEL and non-ASCII
+/// included) as is.
+struct JsonStr<'a>(&'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = self.0;
+        f.write_str("\"")?;
+        let mut run = 0;
+        for (i, &c) in s.as_bytes().iter().enumerate() {
+            let short = match c {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0c => "\\f",
+                0x20.. => continue,
+                _ => "",
+            };
+            // `c` is ASCII, so `i` is a char boundary.
+            f.write_str(&s[run..i])?;
+            run = i + 1;
+            match short {
+                "" => write!(f, "\\u{:04x}", c)?,
+                short => f.write_str(short)?,
+            }
+        }
+        f.write_str(&s[run..])?;
+        f.write_str("\"")
+    }
+}
+
+/// Reads one canonical line at the front of a buffer, unescaping its
+/// strings in place. `rest` is the unread part of the buffer, `at` its
+/// offset. Every byte before `at` has been checked and none is a newline;
+/// a string's unescaped bytes are written over its escaped ones, never at
+/// or past `at`. So when a line is refused at `at`, the line's newline is
+/// still the first one at or after `at`.
+struct LineReader<'a> {
+    rest: &'a mut [u8],
+    at: usize,
+}
+
+impl<'a> LineReader<'a> {
+    /// Move the first `n` bytes of `rest` behind the reader.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, tail) = std::mem::take(&mut self.rest).split_at_mut(n);
+        self.rest = tail;
+        self.at += n;
+        head
+    }
+
+    /// Consume exactly `lit`.
+    fn lit(&mut self, lit: &str) -> Result<(), usize> {
+        if !self.rest.starts_with(lit.as_bytes()) {
+            return Err(self.at);
+        }
+        self.take(lit.len());
+        Ok(())
+    }
+
+    /// `lit`, then a decimal integer in `0..=max` without sign or leading
+    /// zeros.
+    fn uint(&mut self, lit: &str, max: u64) -> Result<u64, usize> {
+        self.lit(lit)?;
+        let digits = self.rest.iter().take_while(|c| c.is_ascii_digit()).count();
+        let mut v = 0u64;
+        for (i, &d) in self.rest[..digits].iter().enumerate() {
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d - b'0')))
+                .filter(|&v| v <= max)
+                .ok_or(self.at + i)?;
+        }
+        if digits == 0 || (digits > 1 && self.rest[0] == b'0') {
+            return Err(self.at);
+        }
+        self.take(digits);
+        Ok(v)
+    }
+
+    /// `lit`, then a canonical JSON string, unescaped in place. Returns it
+    /// and its FNV-1a, taken in the same pass.
+    fn string(&mut self, lit: &str) -> Result<(&'a str, u64), usize> {
+        self.lit(lit)?;
+        self.lit("\"")?;
+        let b = &mut *self.rest;
+        let (at, mut r, mut w, mut hash) = (self.at, 0, 0, FNV1A64_EMPTY);
+        loop {
+            let (c, len) = match *b.get(r).ok_or(at + r)? {
+                b'"' => break,
+                b'\\' => match b.get(r + 1).copied() {
+                    Some(b'"') => (b'"', 2),
+                    Some(b'\\') => (b'\\', 2),
+                    Some(b'n') => (b'\n', 2),
+                    Some(b'r') => (b'\r', 2),
+                    Some(b't') => (b'\t', 2),
+                    Some(b'b') => (0x08, 2),
+                    Some(b'f') => (0x0c, 2),
+                    // `\u00xx` in lowercase hex, only for the control
+                    // characters without a short escape.
+                    Some(b'u') => match b.get(r + 2..r + 6) {
+                        Some(
+                            &[b'0', b'0', hi @ (b'0' | b'1'), lo @ (b'0'..=b'9' | b'a'..=b'f')],
+                        ) => {
+                            let lo = if lo <= b'9' {
+                                lo - b'0'
+                            } else {
+                                lo - b'a' + 10
+                            };
+                            match ((hi - b'0') << 4) | lo {
+                                0x08 | b'\t' | b'\n' | 0x0c | b'\r' => return Err(at + r),
+                                c => (c, 6),
+                            }
+                        }
+                        _ => return Err(at + r),
+                    },
+                    _ => return Err(at + r),
+                },
+                c if c < 0x20 => return Err(at + r),
+                c => (c, 1),
+            };
+            b[w] = c;
+            w += 1;
+            r += len;
+            hash = fnv1a64_step(hash, c);
+        }
+        // Escapes are ASCII, so the string is UTF-8 exactly when its raw
+        // runs are, escaped or not.
+        let s = std::str::from_utf8(&self.take(r + 1)[..w]).map_err(|_| at + r)?;
+        Ok((s, hash))
+    }
+
+    /// Read one whole record: the canonical line, then `\n` or the end of
+    /// the buffer. Returns the record, the FNV-1a of its payload (of the
+    /// empty string for records without one) and where its line ends, or
+    /// the offset at which the line stopped being canonical.
+    fn record(mut self) -> Result<(RecordRef<'a>, u64, usize), usize> {
+        let mut payload_fnv = FNV1A64_EMPTY;
+        self.lit("{\"")?;
+        // Struct expressions evaluate their fields in the order written,
+        // which is the order of the line.
+        let rec = if self.lit("Header\":{").is_ok() {
+            RecordRef::Header {
+                schema: self.string("\"schema\":")?.0,
+                campaign: self.string(",\"campaign\":")?.0,
+                config_key: self.string(",\"config_key\":")?.0,
+                total_shards: self.uint(",\"total_shards\":", u64::MAX)?,
+            }
+        } else if self.lit("ShardStart\":{").is_ok() {
+            RecordRef::ShardStart {
+                shard: self.string("\"shard\":")?.0,
+            }
+        } else if self.lit("ShardDone\":{").is_ok() {
+            RecordRef::ShardDone {
+                shard: self.string("\"shard\":")?.0,
+                class: self.string(",\"class\":")?.0,
+                attempts: self.uint(",\"attempts\":", u64::from(u32::MAX))? as u32,
+                wall_ms: self.uint(",\"wall_ms\":", u64::MAX)?,
+                checksum: self.uint(",\"checksum\":", u64::MAX)?,
+                payload: {
+                    let (payload, fnv) = self.string(",\"payload\":")?;
+                    payload_fnv = fnv;
+                    payload
+                },
+                token: self.uint(",\"token\":", u64::MAX)?,
+            }
+        } else {
+            self.lit("RunComplete\":{")?;
+            RecordRef::RunComplete {
+                succeeded: self.uint("\"succeeded\":", u64::MAX)?,
+            }
+        };
+        self.lit("}}")?;
+        match self.rest.first() {
+            None | Some(b'\n') => Ok((rec, payload_fnv, self.at)),
+            Some(_) => Err(self.at),
+        }
+    }
+}
+
+/// Decode a journal's bytes line by line, in place: each string is
+/// unescaped over its own escaped bytes, so no payload is copied. `visit`
+/// gets every canonical line's record, in file order, with the FNV-1a of
+/// its payload taken during the unescape. Any other non-blank line — torn,
+/// interleaved, not UTF-8, or JSON in another form — is damaged: it is
+/// skipped, counted in `supervisor.journal.damaged_lines`, and replay goes
+/// on with the next line. Returns whether any line was damaged.
+pub fn replay_lines(bytes: &mut [u8], mut visit: impl FnMut(RecordRef<'_>, u64)) -> bool {
+    let mut damaged = false;
+    let mut start = 0;
+    while start < bytes.len() {
+        let reader = LineReader {
+            rest: &mut bytes[start..],
+            at: 0,
+        };
+        let stop = match reader.record() {
+            Ok((rec, fnv, end)) => {
+                visit(rec, fnv);
+                start += end + 1;
+                continue;
+            }
+            Err(at) => start + at,
+        };
+        let end = bytes[stop..]
+            .iter()
+            .position(|&c| c == b'\n')
+            .map_or(bytes.len(), |n| stop + n);
+        if !bytes[start..end].iter().all(u8::is_ascii_whitespace) {
+            damaged = true;
+            obs::counter!("supervisor.journal.damaged_lines").inc();
+        }
+        start = end + 1;
+    }
+    damaged
+}
+
+/// Read a journal file with [`replay_lines`], tolerating damage anywhere.
+/// A lone appending writer can only tear the final line, but a
+/// distributed campaign has many workers appending concurrently, so a torn
+/// or interleaved line mid-file must not cost the records after it.
+/// Returns the records and whether any damaged line was skipped; a missing
+/// or unreadable file has neither.
 pub fn replay_journal(path: &Path) -> (Vec<JournalRecord>, bool) {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(mut bytes) = std::fs::read(path) else {
         return (Vec::new(), false);
     };
     let mut records = Vec::new();
-    let mut damaged = false;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<JournalRecord>(line) {
-            Ok(rec) => records.push(rec),
-            Err(_) => {
-                damaged = true;
-                obs::counter!("supervisor.journal.damaged_lines").inc();
-            }
-        }
-    }
+    let damaged = replay_lines(&mut bytes, |rec, _| records.push(rec.to_record()));
     (records, damaged)
 }
 
@@ -149,34 +475,20 @@ pub fn replay_journal(path: &Path) -> (Vec<JournalRecord>, bool) {
 /// covers a line torn by a crash and the residual risk of two appends
 /// interleaving bytes.
 pub fn append_record(path: &Path, rec: &JournalRecord) -> std::io::Result<()> {
-    use std::io::Write;
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let mut line = serde_json::to_string(rec)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    line.push('\n');
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(line.as_bytes())?;
-    f.sync_all()
+    let mut line = String::new();
+    rec.write_line(&mut line);
+    append_line(path, &line)?.sync_all()
 }
 
-/// Publish `records` as the whole journal at `path`: serialize every
-/// record as one JSON line, write a pid-suffixed temp file, fsync, and
-/// rename it over the journal, so a reader sees the old file or the new
-/// one and never a mix.
-fn publish_journal(path: &Path, records: &[JournalRecord]) -> std::io::Result<()> {
+/// Publish `text` — journal lines as [`JournalRecord::write_line`] writes
+/// them — as the whole journal at `path`: write a pid-suffixed temp file,
+/// fsync, and rename it over the journal, so a reader sees the old file
+/// or the new one and never a mix.
+pub fn publish_journal(path: &Path, text: &str) -> std::io::Result<()> {
     use std::io::Write;
-    let mut text = String::new();
-    for rec in records {
-        let line = serde_json::to_string(rec)
-            .map_err(|e| std::io::Error::other(format!("serialize journal record: {e}")))?;
-        text.push_str(&line);
-        text.push('\n');
-    }
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
@@ -249,7 +561,11 @@ impl Journal {
             append_record(&path, last).map_err(|e| e.to_string())
         } else {
             obs::counter!("supervisor.journal.publishes").inc();
-            publish_journal(&path, &self.records).map_err(|e| e.to_string())
+            let mut text = String::new();
+            for rec in &self.records {
+                rec.write_line(&mut text);
+            }
+            publish_journal(&path, &text).map_err(|e| e.to_string())
         };
         self.in_sync = written.is_ok();
         if let Err(why) = written {
@@ -645,9 +961,9 @@ pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> 
                     view.quarantined += 1;
                     obs::counter!("supervisor.journal.quarantined").inc();
                     if let Some(qpath) = quarantine {
-                        if let Ok(line) = serde_json::to_string(rec) {
-                            let _ = append_line(qpath, &line);
-                        }
+                        let mut line = String::new();
+                        rec.write_line(&mut line);
+                        let _ = append_line(qpath, &line);
                     }
                     continue;
                 }
@@ -682,14 +998,15 @@ pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> 
     view
 }
 
-fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
+/// Append `line`, newline included, in one `O_APPEND` write.
+fn append_line(path: &Path, line: &str) -> std::io::Result<std::fs::File> {
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
     f.write_all(line.as_bytes())?;
-    f.write_all(b"\n")
+    Ok(f)
 }
 
 /// The sidecar path where [`distill_records`] quarantines

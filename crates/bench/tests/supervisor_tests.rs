@@ -773,6 +773,39 @@ fn resume_compacts_a_torn_final_line_and_keeps_every_record() {
     );
 }
 
+#[test]
+fn resume_skips_a_non_utf8_line_and_replays_the_rest() {
+    obs::metrics::set_enabled(true);
+    let dir = temp_dir();
+    let mut cfg = test_cfg("non_utf8", &dir);
+    let executed = Arc::new(AtomicU32::new(0));
+    let want = supervise(&cfg, counting_shards(4, &executed)).into_results();
+
+    // One byte that is not UTF-8, in a line of its own after the header.
+    let path = journal_path(&dir, "non_utf8");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let (intact, _) = replay_journal(&path);
+    let after_header = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes.splice(
+        after_header..after_header,
+        b"{\"ShardStart\":{\"shard\":\"s\xff\"}}\n".iter().copied(),
+    );
+    std::fs::write(&path, &bytes).unwrap();
+    let damaged_lines = || obs::counter!("supervisor.journal.damaged_lines").get();
+    let before = damaged_lines();
+    let (records, damaged) = replay_journal(&path);
+    assert!(damaged, "the line must count as damaged");
+    assert!(damaged_lines() > before);
+    assert_eq!(records, intact, "every other line replays");
+
+    executed.store(0, Ordering::Relaxed);
+    cfg.resume = true;
+    let second = supervise(&cfg, counting_shards(4, &executed));
+    assert_eq!(executed.load(Ordering::Relaxed), 0, "nothing re-executes");
+    assert!(second.outcomes.iter().all(|o| o.resumed));
+    assert_eq!(second.into_results(), want);
+}
+
 // ---- multi-writer journal hardening (distributed campaigns) ----------------
 
 #[test]

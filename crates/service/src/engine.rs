@@ -44,7 +44,9 @@ use crate::state::{
     ShardSnapshot, ShardState,
 };
 use eccparity_bench::hash::fnv1a64;
-use eccparity_bench::supervisor::{replay_journal, JournalRecord, JOURNAL_SCHEMA};
+use eccparity_bench::supervisor::{
+    publish_journal, replay_lines, JournalRecord, RecordRef, JOURNAL_SCHEMA,
+};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -231,9 +233,9 @@ struct EngineInner {
     /// Serializes concurrent checkpoint() callers (timer vs query).
     ckpt_lock: Mutex<()>,
     /// Every node snapshot of the last successful checkpoint (or resume
-    /// load) — the state a quarantined shard falls back to and respawns
-    /// from.
-    last_checkpoint: Mutex<Vec<NodeSnapshot>>,
+    /// load) — the state workers start from, and a quarantined shard
+    /// falls back to and respawns from. Shared, so a restore borrows it.
+    last_checkpoint: Mutex<Arc<Vec<NodeSnapshot>>>,
     // Front-end reject accounting.
     reader_parse_rejects: AtomicU64,
     oversized_rejects: AtomicU64,
@@ -315,21 +317,17 @@ impl EngineInner {
         self.slots.iter().filter(|s| !s.healthy()).count() as u64
     }
 
-    /// A quarantined shard's stand-in state: its partition of the last
-    /// checkpoint (exactly what its replacement worker will restore).
-    fn fallback_state(&self, shard: usize) -> ShardState {
-        let nodes = self.checkpoint_partition(shard);
-        ShardState::restore(self.cfg.geom, nodes)
-    }
-
-    fn checkpoint_partition(&self, shard: usize) -> Vec<NodeSnapshot> {
-        self.last_checkpoint
-            .lock()
-            .expect("last-checkpoint lock")
-            .iter()
-            .filter(|n| (n.node % self.cfg.shards as u64) as usize == shard)
-            .cloned()
-            .collect()
+    /// The shard's partition of the last checkpoint, restored: what a
+    /// worker starts from, and a quarantined shard's stand-in state. The
+    /// restore reads the checkpoint's nodes in place; the lock is held
+    /// only to share them.
+    fn restore_partition(&self, shard: usize) -> ShardState {
+        let nodes = Arc::clone(&self.last_checkpoint.lock().expect("last-checkpoint lock"));
+        let shards = self.cfg.shards as u64;
+        ShardState::restore_from(
+            self.cfg.geom,
+            nodes.iter().filter(|n| (n.node % shards) as usize == shard),
+        )
     }
 
     /// Fan a control message out to every *healthy* shard, substituting
@@ -349,7 +347,7 @@ impl EngineInner {
                 slot.queue.push_ctl(mk(tx.clone()));
                 expected += 1;
             } else {
-                out.push((i as u64, fallback(&self.fallback_state(i), i as u64)));
+                out.push((i as u64, fallback(&self.restore_partition(i), i as u64)));
             }
         }
         drop(tx);
@@ -372,7 +370,7 @@ impl EngineInner {
         }
         for i in 0..self.cfg.shards {
             if !out.iter().any(|(s, _)| *s == i as u64) {
-                out.push((i as u64, fallback(&self.fallback_state(i), i as u64)));
+                out.push((i as u64, fallback(&self.restore_partition(i), i as u64)));
             }
         }
         out.sort_by_key(|(s, _)| *s);
@@ -429,7 +427,7 @@ impl EngineInner {
             }
             obs::counter!("service.gather_timeouts").inc();
         }
-        self.fallback_state(shard).node_view(node)
+        self.restore_partition(shard).node_view(node)
     }
 
     fn recommend_of(&self, node: u64) -> Option<Vec<RegionRec>> {
@@ -444,7 +442,7 @@ impl EngineInner {
             }
             obs::counter!("service.gather_timeouts").inc();
         }
-        self.fallback_state(shard).recommend(node)
+        self.restore_partition(shard).recommend(node)
     }
 
     /// Quarantine `shard`: bump its mailbox generation (stale-proofing
@@ -508,16 +506,19 @@ impl EngineInner {
             .map(|(_, s)| s)
             .collect();
         let nodes: u64 = snaps.iter().map(|s| s.nodes.len() as u64).sum();
-        let mut records = Vec::with_capacity(snaps.len() + 2);
-        records.push(JournalRecord::Header {
+        // Each payload is escaped straight into the journal text; the
+        // records only move it there.
+        let mut text = String::new();
+        JournalRecord::Header {
             schema: JOURNAL_SCHEMA.to_string(),
             campaign: self.cfg.name.clone(),
             config_key: self.cfg.geom.config_key(),
             total_shards: snaps.len() as u64,
-        });
+        }
+        .write_line(&mut text);
         for snap in &snaps {
             let payload = snap.encode();
-            records.push(JournalRecord::ShardDone {
+            JournalRecord::ShardDone {
                 shard: format!("shard-{}", snap.shard),
                 class: "completed".to_string(),
                 attempts: 1,
@@ -525,12 +526,14 @@ impl EngineInner {
                 checksum: fnv1a64(payload.as_bytes()),
                 payload,
                 token: 0,
-            });
+            }
+            .write_line(&mut text);
         }
-        records.push(JournalRecord::RunComplete {
+        JournalRecord::RunComplete {
             succeeded: snaps.len() as u64,
-        });
-        publish_journal(&path, &records)?;
+        }
+        .write_line(&mut text);
+        publish_journal(&path, &text)?;
         if let Some(t0) = t0 {
             obs::histogram!("service.checkpoint.publish_ns")
                 .observe(t0.elapsed().as_nanos() as u64);
@@ -538,7 +541,7 @@ impl EngineInner {
         // Only after a durable publish does this become the state
         // quarantined shards fall back to / respawn from.
         *self.last_checkpoint.lock().expect("last-checkpoint lock") =
-            snaps.into_iter().flat_map(|s| s.nodes).collect();
+            Arc::new(snaps.into_iter().flat_map(|s| s.nodes).collect());
         for slot in &self.slots {
             if slot.healthy() {
                 slot.applied_since_ckpt.store(0, Ordering::SeqCst);
@@ -642,8 +645,8 @@ fn apply_batch(inner: &EngineInner, shard: usize, state: &mut ShardState, bytes:
     chaos.worker_poison(shard as u64, batch_no)
 }
 
-fn run_worker(inner: &EngineInner, shard: usize, my_gen: u64, nodes: Vec<NodeSnapshot>) {
-    let mut state = ShardState::restore(inner.cfg.geom, nodes);
+fn run_worker(inner: &EngineInner, shard: usize, my_gen: u64) {
+    let mut state = inner.restore_partition(shard);
     let slot = &inner.slots[shard];
     loop {
         match slot.queue.pop(my_gen) {
@@ -700,7 +703,6 @@ fn spawn_worker(
     inner: &Arc<EngineInner>,
     shard: usize,
     my_gen: u64,
-    nodes: Vec<NodeSnapshot>,
 ) -> std::thread::JoinHandle<()> {
     let inner = Arc::clone(inner);
     std::thread::Builder::new()
@@ -708,7 +710,7 @@ fn spawn_worker(
         .spawn(move || {
             let worker_inner = Arc::clone(&inner);
             let died = catch_unwind(AssertUnwindSafe(move || {
-                run_worker(&worker_inner, shard, my_gen, nodes)
+                run_worker(&worker_inner, shard, my_gen)
             }))
             .is_err();
             if died {
@@ -746,8 +748,7 @@ fn run_monitor(inner: Arc<EngineInner>) {
                     let failures = slot.failures.load(Ordering::SeqCst);
                     if since >= backoff_ms(inner.cfg.quarantine_backoff_ms, failures) {
                         let gen = slot.queue.generation();
-                        let nodes = inner.checkpoint_partition(i);
-                        let handle = spawn_worker(&inner, i, gen, nodes);
+                        let handle = spawn_worker(&inner, i, gen);
                         *slot.handle.lock().expect("slot handle lock") = Some(handle);
                         slot.worker_died.store(false, Ordering::SeqCst);
                         slot.status.store(STATUS_HEALTHY, Ordering::SeqCst);
@@ -865,7 +866,7 @@ impl Engine {
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
             ckpt_lock: Mutex::new(()),
-            last_checkpoint: Mutex::new(resumed),
+            last_checkpoint: Mutex::new(Arc::new(resumed)),
             reader_parse_rejects: AtomicU64::new(0),
             oversized_rejects: AtomicU64::new(0),
             conn_limit_rejects: AtomicU64::new(0),
@@ -884,8 +885,7 @@ impl Engine {
             push: PushHub::new(push_queue),
         });
         for i in 0..inner.cfg.shards {
-            let nodes = inner.checkpoint_partition(i);
-            let handle = spawn_worker(&inner, i, 0, nodes);
+            let handle = spawn_worker(&inner, i, 0);
             *inner.slots[i].handle.lock().expect("slot handle lock") = Some(handle);
         }
         if let Some(t0) = resume_t0 {
@@ -1201,31 +1201,6 @@ impl Engine {
     }
 }
 
-/// Publish `records` to `path` atomically: one JSON line per record,
-/// written to a pid-suffixed temp file, fsynced, renamed over the
-/// journal — the same discipline as the campaign supervisor's journal.
-fn publish_journal(path: &Path, records: &[JournalRecord]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut text = String::new();
-    for rec in records {
-        let line = serde_json::to_string(rec)
-            .map_err(|e| std::io::Error::other(format!("serialize journal record: {e}")))?;
-        text.push_str(&line);
-        text.push('\n');
-    }
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(text.as_bytes())?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)
-}
-
 /// Load a checkpoint journal: validate the header against this daemon's
 /// identity, verify each shard payload's checksum, decode it against the
 /// geometry `config_key` names ([`ShardSnapshot::decode`]), and return
@@ -1235,56 +1210,68 @@ fn publish_journal(path: &Path, records: &[JournalRecord]) -> std::io::Result<()
 /// `service.journal_corrupt_payloads` (partial recovery beats none); a
 /// mismatched header recovers nothing.
 pub fn load_checkpoint(path: &Path, name: &str, config_key: &str) -> Vec<NodeSnapshot> {
-    let (records, torn) = replay_journal(path);
-    if torn {
-        obs::counter!("service.journal_torn_tail").inc();
-        eprintln!(
-            "eccparityd: checkpoint journal {} had a torn/damaged tail; replaying the intact prefix",
-            path.display()
-        );
-    }
-    let header_ok = matches!(
-        records.first(),
-        Some(JournalRecord::Header { schema, campaign, config_key: ck, .. })
-            if schema == JOURNAL_SCHEMA && campaign == name && ck == config_key
-    );
-    let Some(geom) = Geometry::from_config_key(config_key).filter(|_| header_ok) else {
-        obs::counter!("service.journal_discarded").inc();
-        eprintln!(
-            "eccparityd: checkpoint journal {} does not match this instance (name/geometry); starting empty",
-            path.display()
-        );
-        return Vec::new();
-    };
+    // One read; each payload is unescaped and checksummed in place and
+    // decoded straight from the file's bytes.
+    let mut bytes = std::fs::read(path).unwrap_or_default();
+    // The first record decides: this instance's geometry if it is the
+    // matching header, else nothing is recovered.
+    let mut geom: Option<Option<Geometry>> = None;
     let mut nodes = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
-    for rec in &records {
-        if let JournalRecord::ShardDone {
+    let torn = replay_lines(&mut bytes, |rec, payload_fnv| {
+        let Some(geom) = *geom.get_or_insert_with(|| match rec {
+            RecordRef::Header {
+                schema,
+                campaign,
+                config_key: ck,
+                ..
+            } if schema == JOURNAL_SCHEMA && campaign == name && ck == config_key => {
+                Geometry::from_config_key(config_key)
+            }
+            _ => None,
+        }) else {
+            return;
+        };
+        let RecordRef::ShardDone {
             shard,
             checksum,
             payload,
             ..
         } = rec
-        {
-            if *checksum != fnv1a64(payload.as_bytes()) {
-                obs::counter!("service.journal_corrupt_payloads").inc();
-                eprintln!("eccparityd: checkpoint shard {shard} failed its checksum; skipping");
-                continue;
-            }
-            let refusal = match ShardSnapshot::decode(payload.as_bytes(), geom) {
+        else {
+            return;
+        };
+        let refusal = if checksum != payload_fnv {
+            "failed its checksum".to_string()
+        } else {
+            match ShardSnapshot::decode(payload.as_bytes(), geom) {
                 Ok(snap) => match snap.nodes.iter().find(|n| seen.contains(&n.node)) {
                     Some(dup) => format!("repeats node {} of an earlier shard", dup.node),
                     None => {
                         seen.extend(snap.nodes.iter().map(|n| n.node));
                         nodes.extend(snap.nodes);
-                        continue;
+                        return;
                     }
                 },
                 Err(e) => format!("failed to decode ({e})"),
-            };
-            obs::counter!("service.journal_corrupt_payloads").inc();
-            eprintln!("eccparityd: checkpoint shard {shard} {refusal}; skipping");
-        }
+            }
+        };
+        obs::counter!("service.journal_corrupt_payloads").inc();
+        eprintln!("eccparityd: checkpoint shard {shard} {refusal}; skipping");
+    });
+    if torn {
+        obs::counter!("service.journal_torn_tail").inc();
+        eprintln!(
+            "eccparityd: checkpoint journal {} had torn/damaged lines; replaying the intact records",
+            path.display()
+        );
+    }
+    if geom.flatten().is_none() {
+        obs::counter!("service.journal_discarded").inc();
+        eprintln!(
+            "eccparityd: checkpoint journal {} does not match this instance (name/geometry); starting empty",
+            path.display()
+        );
     }
     nodes
 }
@@ -1367,6 +1354,10 @@ mod tests {
         engine.barrier();
     }
 
+    /// Held by every test whose resume moves a `service.journal_*`
+    /// counter, so each can assert its own counts exactly.
+    static RESUME_COUNTERS: Mutex<()> = Mutex::new(());
+
     fn stats_field(engine: &Engine, field: &str) -> u64 {
         let v: Value = serde_json::from_str(&engine.query(&Query::Stats)).unwrap();
         v["result"][field]
@@ -1413,6 +1404,8 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_round_trip_across_shard_counts() {
+        // Its geometry-mismatch resume counts a discard.
+        let _counters = RESUME_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("eccparityd-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let lines: Vec<String> = (0..300)
@@ -1783,5 +1776,150 @@ mod tests {
         assert!(fleet.contains("\"events\":1"), "{fleet}");
         engine.shutdown();
         let _ = std::fs::remove_file(&dir);
+    }
+
+    /// `(torn tails, discarded journals, corrupt payloads, damaged lines)`
+    /// counted so far.
+    fn resume_counts() -> [u64; 4] {
+        [
+            obs::counter!("service.journal_torn_tail").get(),
+            obs::counter!("service.journal_discarded").get(),
+            obs::counter!("service.journal_corrupt_payloads").get(),
+            obs::counter!("supervisor.journal.damaged_lines").get(),
+        ]
+    }
+
+    /// Checkpoint nodes `0..12`, one event each, from a 3-shard engine in a
+    /// fresh directory; returns the engine's config and the journal bytes.
+    fn damage_fixture(tag: &str) -> (EngineConfig, Vec<u8>) {
+        let dir = std::env::temp_dir().join(format!("eccparityd-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EngineConfig {
+            shards: 3,
+            state_dir: Some(dir),
+            name: tag.to_string(),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::start(cfg.clone());
+        let lines: Vec<String> = (0..12).map(|n| line(n, 1, 2, 40 + n as u32)).collect();
+        drive(&engine, &lines);
+        let path = engine.checkpoint().unwrap().path;
+        engine.shutdown();
+        (cfg, std::fs::read(path).unwrap())
+    }
+
+    /// Resume from `journal` at 3 shards; returns the ids of the resumed
+    /// nodes and the counter movements of the resume.
+    fn resume_from(cfg: &EngineConfig, journal: &[u8]) -> (Vec<u64>, [u64; 4]) {
+        std::fs::write(cfg.journal_path().unwrap(), journal).unwrap();
+        let before = resume_counts();
+        let engine = Engine::start(EngineConfig {
+            resume: true,
+            ..cfg.clone()
+        });
+        let after = resume_counts();
+        let nodes = (0..12)
+            .filter(|&node| {
+                engine
+                    .query(&Query::NodeRisk { node })
+                    .contains("\"known\":true")
+            })
+            .collect();
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(cfg.state_dir.as_ref().unwrap());
+        (nodes, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
+    /// The byte range of the journal line that starts with `prefix`.
+    fn line_span(journal: &[u8], prefix: &str) -> std::ops::Range<usize> {
+        let start = journal
+            .windows(prefix.len())
+            .position(|w| w == prefix.as_bytes())
+            .unwrap_or_else(|| panic!("no line starts with {prefix}"));
+        let len = journal[start..].iter().position(|&b| b == b'\n').unwrap();
+        start..start + len
+    }
+
+    const SHARD_2: &str = "{\"ShardDone\":{\"shard\":\"shard-2\"";
+
+    #[test]
+    fn resume_through_a_payload_torn_mid_line_keeps_the_other_shards() {
+        obs::metrics::set_enabled(true);
+        let _counters = RESUME_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let (cfg, journal) = damage_fixture("torn-payload");
+        // The process died while writing shard-2's record: the file ends
+        // halfway through its payload.
+        let span = line_span(&journal, SHARD_2);
+        let payload_at = span.start
+            + journal[span.clone()]
+                .windows(10)
+                .position(|w| w == b"\"payload\":")
+                .unwrap();
+        let cut = &journal[..(payload_at + span.end) / 2];
+        let (nodes, counts) = resume_from(&cfg, cut);
+        assert_eq!(
+            nodes,
+            [0, 1, 3, 4, 6, 7, 9, 10],
+            "every node outside shard 2"
+        );
+        assert_eq!(counts, [1, 0, 0, 1], "one torn tail, one damaged line");
+    }
+
+    #[test]
+    fn resume_from_another_config_key_starts_empty() {
+        obs::metrics::set_enabled(true);
+        let _counters = RESUME_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let (cfg, journal) = damage_fixture("other-key");
+        // Still a canonical header, for a geometry of threshold 3.
+        let header = line_span(&journal, "{\"Header\"");
+        let text = std::str::from_utf8(&journal[header.clone()]).unwrap();
+        let mut edited = text.replace("threshold=4", "threshold=3").into_bytes();
+        assert_ne!(edited, &journal[header.clone()]);
+        edited.extend_from_slice(&journal[header.end..]);
+        let (nodes, counts) = resume_from(&cfg, &edited);
+        assert_eq!(nodes, [0u64; 0]);
+        assert_eq!(counts, [0, 1, 0, 0], "one discarded journal");
+    }
+
+    #[test]
+    fn resume_skips_a_shard_whose_payload_fails_its_checksum() {
+        obs::metrics::set_enabled(true);
+        let _counters = RESUME_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let (cfg, mut journal) = damage_fixture("flipped-byte");
+        // One digit of shard-2's payload changes; the line stays canonical
+        // and its checksum stale.
+        let span = line_span(&journal, SHARD_2);
+        let pat: &[u8] = b"\\\"events\\\":";
+        let events = span.start
+            + journal[span]
+                .windows(pat.len())
+                .position(|w| w == pat)
+                .unwrap();
+        let digit = &mut journal[events + pat.len()];
+        *digit = if *digit == b'1' { b'2' } else { b'1' };
+        let (nodes, counts) = resume_from(&cfg, &journal);
+        assert_eq!(
+            nodes,
+            [0, 1, 3, 4, 6, 7, 9, 10],
+            "every node outside shard 2"
+        );
+        assert_eq!(counts, [0, 0, 1, 0], "one corrupt payload");
+    }
+
+    #[test]
+    fn resume_skips_a_non_utf8_line_and_keeps_every_record() {
+        obs::metrics::set_enabled(true);
+        let _counters = RESUME_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let (cfg, journal) = damage_fixture("non-utf8");
+        // A non-UTF-8 line right after the header, and half a line at the
+        // end.
+        let header = line_span(&journal, "{\"Header\"");
+        let mut damaged = journal[..=header.end].to_vec();
+        damaged.extend_from_slice(b"{\"ShardStart\":{\"shard\":\"\xff\"}}\n");
+        damaged.extend_from_slice(&journal[header.end + 1..]);
+        damaged.extend_from_slice(&journal[..header.len() / 2]);
+        let (nodes, counts) = resume_from(&cfg, &damaged);
+        assert_eq!(nodes, (0..12).collect::<Vec<u64>>());
+        assert_eq!(counts, [1, 0, 0, 2], "one torn resume, two damaged lines");
     }
 }

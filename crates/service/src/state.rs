@@ -195,15 +195,15 @@ impl NodeHealth {
     }
 
     /// A node rebuilt from its checkpointed snapshot, derived state and all.
-    fn restore(snap: NodeSnapshot) -> NodeHealth {
+    fn restore(snap: &NodeSnapshot) -> NodeHealth {
         let inputs = RiskInputs::of(&snap.health);
         NodeHealth {
-            table: snap.health,
+            table: snap.health.clone(),
             events: snap.events,
             max_ce: snap.pages.iter().map(|p| p.count).max().unwrap_or(0),
             pages: snap
                 .pages
-                .into_iter()
+                .iter()
                 .map(|p| ((p.channel, p.bank, p.row), p.count))
                 .collect(),
             inputs,
@@ -862,8 +862,18 @@ impl ShardState {
     /// Restore a partition from checkpointed node snapshots, in any order.
     /// A node id listed twice keeps its last snapshot.
     pub fn restore(geom: Geometry, snapshots: Vec<NodeSnapshot>) -> ShardState {
+        ShardState::restore_from(geom, &snapshots)
+    }
+
+    /// [`ShardState::restore`] from borrowed snapshots, which stay with
+    /// their owner.
+    pub fn restore_from<'a>(
+        geom: Geometry,
+        snapshots: impl IntoIterator<Item = &'a NodeSnapshot>,
+    ) -> ShardState {
+        let snapshots = snapshots.into_iter();
         let mut s = ShardState::new(geom);
-        s.slab.reserve(snapshots.len());
+        s.slab.reserve(snapshots.size_hint().0);
         for snap in snapshots {
             let id = snap.node;
             let nh = NodeHealth::restore(snap);
