@@ -12,11 +12,14 @@
 //! binary's coordinator mode (`ECC_PARITY_WORKERS`), but can be started
 //! by hand against a live journal to add capacity.
 //!
+//! Under `ECC_PARITY_JSON_DIR` the worker writes its own failure ledger,
+//! `campaign.failures.jsonl.worker<pid>`.
+//!
 //! Exit status: 0 once the campaign is drained, 2 on usage errors, 3 on
 //! setup failures (no journal header within the attach window), 86 for a
 //! chaos-injected kill (`ECC_PARITY_CHAOS` worker faults).
 
-use eccparity_bench::distrib::{run_worker, WorkerOptions};
+use eccparity_bench::distrib::run_worker;
 use eccparity_bench::faultcampaign;
 use eccparity_bench::supervisor::SupervisorConfig;
 
@@ -49,13 +52,12 @@ fn main() {
     let mut cfg = SupervisorConfig::from_env(faultcampaign::CAMPAIGN_NAME, plan.config_key());
     // Resume is the coordinator's decision; a worker only ever attaches.
     cfg.resume = false;
-    match run_worker(
-        &cfg,
-        &plan.shards,
-        WorkerOptions {
-            worker_faults: true,
-        },
-    ) {
+    // Creating the coordinator's ledger would truncate it: each worker
+    // writes its own beside it.
+    cfg.failures_path = cfg
+        .failures_path
+        .map(|p| format!("{}.worker{}", p.display(), std::process::id()).into());
+    match run_worker(&cfg, &plan.shards) {
         Ok(report) => {
             eprintln!(
                 "worker[{}]: drained: executed {}, published {}, steals {}, rejected {}",

@@ -26,7 +26,7 @@
 //! them — which is what makes "chaos run == fault-free run" a meaningful
 //! acceptance gate (`chaos_soak` in `tests/supervisor_tests.rs`).
 
-use crate::hash::fnv1a64;
+use crate::hash::{fnv1a64, roll};
 use std::sync::OnceLock;
 
 /// What to do to a freshly stored cache entry.
@@ -62,16 +62,10 @@ impl Chaos {
         self.seed.is_some()
     }
 
-    /// Deterministic roll: a hash of (seed, site, a, b) reduced mod
-    /// `denom`; returns true on residue 0, i.e. with probability ~1/denom.
+    /// [`crate::hash::roll`] under this handle's seed; never fires when
+    /// disarmed.
     fn roll(&self, site: &str, a: u64, b: u64, denom: u64) -> bool {
-        let Some(seed) = self.seed else { return false };
-        let mut key = Vec::with_capacity(site.len() + 24);
-        key.extend_from_slice(&seed.to_le_bytes());
-        key.extend_from_slice(site.as_bytes());
-        key.extend_from_slice(&a.to_le_bytes());
-        key.extend_from_slice(&b.to_le_bytes());
-        fnv1a64(&key).is_multiple_of(denom)
+        self.seed.is_some_and(|seed| roll(seed, site, a, b, denom))
     }
 
     /// Should the cache entry for cell `hash` be damaged after store, and
@@ -168,6 +162,85 @@ pub fn global() -> Chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each site's first 64 decisions as a bit mask (bit `i` = fired on
+    /// input `i`): cache truncate, cache flip, journal ENOSPC, shard
+    /// panic, shard stall, worker kill, heartbeat stall, double claim,
+    /// stale publish.
+    fn decisions(c: Chaos) -> [u64; 9] {
+        let mut m = [0u64; 9];
+        for i in 0..64u64 {
+            let s = format!("campaign:shard{i}");
+            let fired = [
+                c.corrupt_cache_entry(i) == Some(CacheCorruption::Truncate),
+                c.corrupt_cache_entry(i) == Some(CacheCorruption::FlipByte),
+                c.fail_journal_write(i),
+                c.shard_panic(&s, 1),
+                c.shard_delay_ms(&s, 1).is_some(),
+                c.worker_kill_after_claim(&s, 1),
+                c.worker_heartbeat_stall(&s, 1),
+                c.worker_double_claim(&s),
+                c.worker_stale_publish(&s, 2),
+            ];
+            for (mask, f) in m.iter_mut().zip(fired) {
+                *mask |= u64::from(f) << i;
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn decisions_are_pinned() {
+        // Seeds 7 and 17 are the ones the chaos tests and CI's
+        // distributed job run; any change to the roll moves these masks.
+        let pinned: [(u64, [u64; 9]); 3] = [
+            (
+                7,
+                [
+                    0x1111004444001011,
+                    0x0022880802802022,
+                    0x2222222222222222,
+                    0x34280c0940080400,
+                    0x0a1470020c2608c2,
+                    0x0040024000c08009,
+                    0x4081001421004030,
+                    0x0014100000220842,
+                    0x0040024000c08009,
+                ],
+            ),
+            (
+                9,
+                [
+                    0x4400044410441111,
+                    0x8888222000228888,
+                    0x8888888888888888,
+                    0x0a1470020c2608c2,
+                    0x34280c0940080400,
+                    0x8002008012012300,
+                    0x0100812080101004,
+                    0x0028000900000400,
+                    0x4081001421004030,
+                ],
+            ),
+            (
+                17,
+                [
+                    0x1101041044100044,
+                    0x2222008000888800,
+                    0x8888888888888888,
+                    0x0a1470020c2608c2,
+                    0x34280c0940080400,
+                    0x8002008012012300,
+                    0x0100812080101004,
+                    0x0028000900000400,
+                    0x4081001421004030,
+                ],
+            ),
+        ];
+        for (seed, masks) in pinned {
+            assert_eq!(decisions(Chaos::from_seed(seed)), masks, "seed {seed}");
+        }
+    }
 
     #[test]
     fn disarmed_chaos_never_fires() {

@@ -1,49 +1,43 @@
-//! Multi-process campaign execution: worker loop and coordinator.
+//! Multi-process campaign execution: the worker loop and the fleet phase.
 //!
-//! [`crate::supervisor`] shards a campaign within one process; this module
-//! scales the same journal out to a fleet. The pieces:
+//! [`crate::supervisor`] is the one scheduler: it resumes, runs shard
+//! attempts and closes the run. This module adds only what a fleet of
+//! processes sharing one journal needs:
 //!
 //! * **Worker** ([`run_worker`]): attaches to the campaign journal, and
 //!   loops — replay + [`crate::supervisor::distill_records`] to see what
-//!   is settled, claim an unsettled shard through [`crate::lease`],
-//!   execute it under the same catch_unwind + watchdog + bounded-retry
-//!   machinery, publish a `ShardDone` (stamped with the lease's fencing
-//!   token) via the `O_APPEND` path, release, repeat — until every shard
-//!   is settled. A heartbeat thread refreshes the lease while the shard
-//!   runs; before publishing, the worker re-verifies ownership so a
-//!   stolen lease's result is discarded, never journaled
-//!   (`supervisor.lease.stale_publish_rejected`).
-//! * **Coordinator** ([`supervise_distributed`]): publishes the journal
-//!   header, spawns `ECC_PARITY_WORKERS` local `eccparity-worker`
-//!   processes, reaps the dead and immediately re-queues their leases
-//!   (`supervisor.lease.requeued`), respawns within a bounded budget,
-//!   publishes a live `eccparity-progress-v1` stamp, and finally merges
-//!   the journal into the same [`SupervisedRun`] — and byte-identical
-//!   stdout — a single-process [`supervise`] call produces. If workers
-//!   cannot run (binary missing, respawn budget burned), the coordinator
-//!   finishes the remainder in-process, so a distributed campaign never
-//!   completes *less* than a local one.
+//!   is settled, claim an unsettled shard through [`crate::lease`], run it
+//!   through the supervisor's attempt scheduler, publish a `ShardDone`
+//!   (stamped with the lease's fencing token) via the `O_APPEND` path,
+//!   release, repeat — until every shard is settled. A heartbeat thread
+//!   refreshes the lease while the shard runs; before publishing, the
+//!   worker re-verifies ownership so a stolen lease's result is
+//!   discarded, never journaled (`supervisor.lease.stale_publish_rejected`).
+//! * **Fleet phase** ([`supervise_distributed`]): after the supervisor
+//!   publishes the journal, spawn `ECC_PARITY_WORKERS` local
+//!   `eccparity-worker` processes, reap the dead and immediately re-queue
+//!   their leases (`supervisor.lease.requeued`), respawn within a bounded
+//!   budget, and publish a live `eccparity-progress-v1` stamp. The
+//!   supervisor takes the shards the fleet settled from the journal and
+//!   runs the remainder in-process, `max_inflight` at a time — all of it
+//!   when the worker binary is missing, what is left when the respawn
+//!   budget burns out — so a distributed campaign never completes *less*
+//!   than a local one, and prints the same stdout.
 //!
 //! Worker-level chaos ([`crate::chaos`]: kill-after-claim, heartbeat
-//! stall, double-claim probe, stale-fencing publish) is only honored when
-//! [`WorkerOptions::worker_faults`] is set — the worker binary sets it,
-//! the coordinator's in-process fallback does not, so chaos can never
-//! kill the coordinator itself.
+//! stall, double-claim probe, stale-fencing publish) lives in
+//! [`run_worker`] alone, which only worker processes run, so chaos can
+//! never kill the coordinator itself.
 
-use crate::chaos::Chaos;
-use crate::hash::fnv1a64;
 use crate::lease::{self, ClaimOutcome, LeaseConfig};
 use crate::supervisor::{
-    append_record, distill_records, header_matches, panic_message, quarantine_path, replay_journal,
-    supervise, JournalRecord, OutcomeClass, Shard, ShardOutcome, SupervisedRun, SupervisorConfig,
-    JOURNAL_SCHEMA,
+    append_record, distill_records, done_record, header_matches, quarantine_path, replay_journal,
+    run_attempts, supervise, supervise_with, AttemptEvent, JournalRecord, Ledger, OutcomeClass,
+    Shard, SupervisedRun, SupervisorConfig, JOURNAL_SCHEMA,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Schema stamped into the coordinator's live progress stamp.
@@ -53,15 +47,6 @@ pub const PROGRESS_SCHEMA: &str = "eccparity-progress-v1";
 /// (distinct from real failures so the coordinator can log it as
 /// expected attrition).
 pub const CHAOS_KILL_EXIT: i32 = 86;
-
-/// How a [`run_worker`] call should behave.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerOptions {
-    /// Honor worker-level chaos faults (process kill, heartbeat stall,
-    /// forged stale publish). Only the standalone worker binary sets
-    /// this; in-process callers must not, or chaos would kill them.
-    pub worker_faults: bool,
-}
 
 /// What one worker did before the campaign drained.
 #[derive(Debug, Default, Clone, Copy)]
@@ -122,9 +107,10 @@ pub fn workers_from_env() -> usize {
     }
 }
 
-/// Distributed entry point for campaign binaries: single-process
-/// [`supervise`] unless `ECC_PARITY_WORKERS` asks for a fleet (and a
-/// checkpoint directory exists to share the journal through).
+/// Distributed entry point for campaign binaries: [`supervise`], with a
+/// fleet phase in front of its in-process scheduler when
+/// `ECC_PARITY_WORKERS` asks for a fleet and a checkpoint directory exists
+/// to share the journal through.
 pub fn supervise_distributed<T>(cfg: &SupervisorConfig, shards: Vec<Shard<T>>) -> SupervisedRun<T>
 where
     T: Serialize + Deserialize + Send + 'static,
@@ -133,102 +119,45 @@ where
     if workers <= 1 || cfg.dir.is_none() {
         return supervise(cfg, shards);
     }
-    coordinate(cfg, shards, workers)
+    let started = Instant::now();
+    let run = match worker_binary() {
+        Some(bin) => supervise_with(
+            cfg,
+            shards,
+            Some(&mut |shards: &[Shard<T>]| fleet(cfg, shards, &bin, workers, started)),
+        ),
+        None => {
+            eprintln!(
+                "supervisor: {}: eccparity-worker binary not found next to this executable; \
+                 running the campaign in-process",
+                cfg.campaign
+            );
+            supervise(cfg, shards)
+        }
+    };
+    // Every shard is settled now, by the fleet or in-process.
+    if let Some(path) = cfg.progress_path() {
+        let total = run.outcomes.len() as u64;
+        write_progress(&path, &progress(cfg, total, total, 0, 0, started, 0));
+    }
+    run
 }
 
 // ---- worker ----------------------------------------------------------------
 
-/// Terminal outcome of executing one shard in a worker.
-struct ExecOutcome {
-    class: OutcomeClass,
-    attempts: u32,
-    wall_ms: u64,
-    payload: String,
-}
-
-/// One shard attempt chain: catch_unwind + watchdog (`recv_timeout`) +
-/// exponential backoff, mirroring the in-process scheduler's semantics so
-/// a worker-run shard classifies exactly like a supervised one.
-fn execute_with_retries<T>(cfg: &SupervisorConfig, shard: &Shard<T>, chaos: Chaos) -> ExecOutcome
-where
-    T: Serialize + Deserialize + Send + 'static,
-{
-    let mut attempt: u32 = 1;
-    loop {
-        let started = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        let work = shard.work_arc();
-        let name = shard.name.clone();
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(ms) = chaos.shard_delay_ms(&name, attempt) {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                if chaos.shard_panic(&name, attempt) {
-                    panic!("chaos: injected shard panic");
-                }
-                work()
-            }));
-            let _ = tx.send(result.map_err(|e| panic_message(e.as_ref())));
-        });
-        let verdict = rx.recv_timeout(cfg.timeout);
-        let wall_ms = started.elapsed().as_millis() as u64;
-        match verdict {
-            Ok(Ok(v)) => {
-                let payload = serde_json::to_string(&v).unwrap_or_else(|e| {
-                    crate::harness::warn_io("shard payload serialize", &e);
-                    String::new()
-                });
-                return ExecOutcome {
-                    class: if attempt > 1 {
-                        OutcomeClass::Retried
-                    } else {
-                        OutcomeClass::Completed
-                    },
-                    attempts: attempt,
-                    wall_ms,
-                    payload,
-                };
-            }
-            failed => {
-                let (kind, class) = match &failed {
-                    Ok(Err(_)) => ("panicked", OutcomeClass::Panicked),
-                    Err(mpsc::RecvTimeoutError::Timeout) => ("timed_out", OutcomeClass::TimedOut),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        ("panicked", OutcomeClass::Panicked)
-                    }
-                    Ok(Ok(_)) => unreachable!("success handled above"),
-                };
-                eprintln!(
-                    "worker[{}]: {}: shard {} attempt {attempt} {kind}",
-                    std::process::id(),
-                    cfg.campaign,
-                    shard.name
-                );
-                if attempt > cfg.retries {
-                    return ExecOutcome {
-                        class,
-                        attempts: attempt,
-                        wall_ms,
-                        payload: String::new(),
-                    };
-                }
-                let factor = 1u32 << (attempt - 1).min(16);
-                std::thread::sleep(cfg.backoff * factor);
-                attempt += 1;
-            }
-        }
+/// Append `rec` to the journal, warning on failure.
+fn publish(journal: &Path, rec: &JournalRecord) {
+    if let Err(e) = append_record(journal, rec) {
+        crate::harness::warn_io("journal append", &e);
     }
 }
 
 /// Attach to `cfg`'s campaign journal and execute shards until every one
-/// is settled. Returns what this worker contributed; `Err` only for
-/// setup-level problems (no checkpoint dir, header never appeared).
-pub fn run_worker<T>(
-    cfg: &SupervisorConfig,
-    shards: &[Shard<T>],
-    opts: WorkerOptions,
-) -> Result<WorkerReport, String>
+/// is settled. Each claimed shard runs through the supervisor's attempt
+/// scheduler, whose failed attempts go to the ledger at
+/// `cfg.failures_path`. Returns what this worker contributed; `Err` only
+/// for setup-level problems (no checkpoint dir, header never appeared).
+pub fn run_worker<T>(cfg: &SupervisorConfig, shards: &[Shard<T>]) -> Result<WorkerReport, String>
 where
     T: Serialize + Deserialize + Send + 'static,
 {
@@ -242,6 +171,7 @@ where
     let lcfg = LeaseConfig::from_env();
     let chaos = cfg.chaos;
     let total = shards.len() as u64;
+    let mut ledger = Ledger::open(cfg);
     let mut report = WorkerReport::default();
     let header_wait = Instant::now();
 
@@ -265,7 +195,7 @@ where
             break 'drain;
         }
 
-        for shard in shards {
+        for (idx, shard) in shards.iter().enumerate() {
             if view.done.contains_key(&shard.name) {
                 continue;
             }
@@ -277,10 +207,19 @@ where
                     continue;
                 }
             };
+            // `view` may predate another worker's run of this shard, which
+            // publishes before it releases: only a replay after the claim
+            // shows whether the shard is still unsettled.
+            let (records, _) = replay_journal(&journal);
+            let view = distill_records(&records, None);
+            if view.done.contains_key(&shard.name) {
+                lease.release();
+                continue 'drain;
+            }
             if lease.token > 1 {
                 report.steals += 1;
             }
-            if opts.worker_faults && chaos.worker_kill_after_claim(&shard.name, lease.token) {
+            if chaos.worker_kill_after_claim(&shard.name, lease.token) {
                 eprintln!(
                     "worker[{}]: chaos: dying after claiming {} (token {})",
                     std::process::id(),
@@ -313,14 +252,10 @@ where
                     shard.name,
                     cfg.poison_threshold
                 );
-                publish_done(
+                let class = OutcomeClass::Poisoned;
+                publish(
                     &journal,
-                    &shard.name,
-                    OutcomeClass::Poisoned,
-                    0,
-                    0,
-                    String::new(),
-                    lease.token,
+                    &done_record::<T>(&shard.name, class, 0, 0, None, lease.token),
                 );
                 report.published += 1;
                 lease.release();
@@ -328,20 +263,12 @@ where
                 // shards are not re-executed.
                 continue 'drain;
             }
-            if let Err(e) = append_record(
-                &journal,
-                &JournalRecord::ShardStart {
-                    shard: shard.name.clone(),
-                },
-            ) {
-                crate::harness::warn_io("journal append", &e);
-            }
 
             // Heartbeat until the attempt chain settles. A chaos stall
-            // leaves the thread sleeping without refreshing the mtime, so
+            // leaves the thread waiting without refreshing the mtime, so
             // the lease expires mid-run and another worker steals it.
-            let stall =
-                opts.worker_faults && chaos.worker_heartbeat_stall(&shard.name, lease.token);
+            // Dropping `stop` wakes the thread at once.
+            let stall = chaos.worker_heartbeat_stall(&shard.name, lease.token);
             if stall {
                 eprintln!(
                     "worker[{}]: chaos: stalling heartbeat on {} (token {})",
@@ -350,24 +277,32 @@ where
                     lease.token
                 );
             }
-            let stop = Arc::new(AtomicBool::new(false));
+            let (stop, stopped) = mpsc::channel::<()>();
             let hb = {
                 let lease = lease.clone();
-                let stop = Arc::clone(&stop);
                 let interval = lcfg.heartbeat;
                 std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        if !stall && !lease.heartbeat() {
-                            break; // stolen; the publish check handles it
+                    while stall || lease.heartbeat() {
+                        if stopped.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
+                            break;
                         }
-                        std::thread::sleep(interval);
                     }
                 })
             };
-            let exec = execute_with_retries(cfg, shard, chaos);
-            stop.store(true, Ordering::Relaxed);
+            let mut settled = None;
+            run_attempts(cfg, shards, vec![idx], &mut ledger, |event| match event {
+                AttemptEvent::Started(_) => publish(
+                    &journal,
+                    &JournalRecord::ShardStart {
+                        shard: shard.name.clone(),
+                    },
+                ),
+                AttemptEvent::Settled(s) => settled = Some(s),
+            });
+            drop(stop);
             let _ = hb.join();
             report.executed += 1;
+            let s = settled.expect("the queued shard settles before the scheduler returns");
 
             // Fencing: publish only while the lease is still ours.
             if !lease.still_owned() {
@@ -380,7 +315,12 @@ where
                 );
                 continue 'drain;
             }
-            if opts.worker_faults && chaos.worker_stale_publish(&shard.name, lease.token) {
+            let publish_under = |token| {
+                let result = s.result.as_ref();
+                let rec = done_record(&shard.name, s.class, s.attempts, s.wall_ms, result, token);
+                publish(&journal, &rec);
+            };
+            if chaos.worker_stale_publish(&shard.name, lease.token) {
                 // Zombie-writer probe: forge the publish a fenced-out
                 // worker would have made (token 1), then publish the real
                 // record. Replay must keep the higher token.
@@ -389,25 +329,9 @@ where
                     std::process::id(),
                     shard.name
                 );
-                publish_done(
-                    &journal,
-                    &shard.name,
-                    exec.class,
-                    exec.attempts,
-                    exec.wall_ms,
-                    exec.payload.clone(),
-                    1,
-                );
+                publish_under(1);
             }
-            publish_done(
-                &journal,
-                &shard.name,
-                exec.class,
-                exec.attempts,
-                exec.wall_ms,
-                exec.payload,
-                lease.token,
-            );
+            publish_under(lease.token);
             report.published += 1;
             lease.release();
             continue 'drain;
@@ -420,30 +344,7 @@ where
     Ok(report)
 }
 
-fn publish_done(
-    journal: &Path,
-    shard: &str,
-    class: OutcomeClass,
-    attempts: u32,
-    wall_ms: u64,
-    payload: String,
-    token: u64,
-) {
-    let rec = JournalRecord::ShardDone {
-        shard: shard.to_string(),
-        class: class.as_str().to_string(),
-        attempts,
-        wall_ms,
-        checksum: fnv1a64(payload.as_bytes()),
-        payload,
-        token,
-    };
-    if let Err(e) = append_record(journal, &rec) {
-        crate::harness::warn_io("journal append", &e);
-    }
-}
-
-// ---- coordinator -----------------------------------------------------------
+// ---- fleet phase -----------------------------------------------------------
 
 /// Count the lease files currently present (in-flight shards).
 fn count_leases(ldir: &Path) -> u64 {
@@ -453,6 +354,29 @@ fn count_leases(ldir: &Path) -> u64 {
             .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("lease"))
             .count() as u64
     })
+}
+
+/// A progress stamp of `cfg`'s campaign, `started` its start.
+fn progress(
+    cfg: &SupervisorConfig,
+    total: u64,
+    done: u64,
+    claimed: u64,
+    workers_alive: u64,
+    started: Instant,
+    eta_ms: u64,
+) -> ProgressStamp {
+    ProgressStamp {
+        schema: PROGRESS_SCHEMA.to_string(),
+        campaign: cfg.campaign.clone(),
+        total_shards: total,
+        done,
+        claimed,
+        remaining: total - done - claimed,
+        workers_alive,
+        elapsed_ms: started.elapsed().as_millis() as u64,
+        eta_ms,
+    }
 }
 
 /// Atomically republish the progress stamp (tmp + rename, like every
@@ -493,137 +417,59 @@ fn spawn_worker(bin: &Path, campaign: &str, idx: usize) -> std::io::Result<std::
     cmd.spawn()
 }
 
-/// Multi-process supervision: publish the header, run `workers` local
-/// worker processes to drain the journal, merge. See the module docs.
-fn coordinate<T>(cfg: &SupervisorConfig, shards: Vec<Shard<T>>, workers: usize) -> SupervisedRun<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-{
-    {
-        let mut seen = HashSet::new();
-        for s in &shards {
-            assert!(
-                seen.insert(s.name.as_str()),
-                "duplicate shard name {:?}",
-                s.name
-            );
-        }
-    }
+/// The fleet phase: run `workers` worker processes over the published
+/// journal until every shard is settled or no worker is left to run (the
+/// respawn budget burned, or spawns failing). Returns the journal's
+/// records as the fleet left them.
+fn fleet<T>(
+    cfg: &SupervisorConfig,
+    shards: &[Shard<T>],
+    bin: &Path,
+    workers: usize,
+    started: Instant,
+) -> Vec<JournalRecord> {
     let total = shards.len() as u64;
     let journal = cfg.journal_path().expect("caller checked cfg.dir");
     let ldir = cfg.lease_dir().expect("caller checked cfg.dir");
     let quarantine = quarantine_path(&journal);
-    let started = Instant::now();
-
-    // Resume: distill the old journal and rebuild it as header + crash
-    // markers + successful results only, so workers re-execute terminal
-    // failures with a fresh retry budget (exactly like single-process
-    // resume). Anything else starts fresh.
-    let header = JournalRecord::Header {
-        schema: JOURNAL_SCHEMA.to_string(),
-        campaign: cfg.campaign.clone(),
-        config_key: cfg.config_key.clone(),
-        total_shards: total,
-    };
-    let mut base_records = vec![header];
-    let mut resumed_names: HashSet<String> = HashSet::new();
-    if cfg.resume && journal.exists() {
-        let (records, _) = replay_journal(&journal);
-        if header_matches(&records, cfg, total) {
-            let view = distill_records(&records, Some(&quarantine));
-            for (shard, n) in &view.crash_counts {
-                for _ in 0..*n {
-                    base_records.push(JournalRecord::ShardStart {
-                        shard: shard.clone(),
-                    });
-                }
-            }
-            // Deterministic rebuild order: submission order.
-            for shard in &shards {
-                let Some(rec) = view.done.get(&shard.name) else {
-                    continue;
-                };
-                if !rec.class.is_success() {
-                    continue;
-                }
-                base_records.push(JournalRecord::ShardDone {
-                    shard: shard.name.clone(),
-                    class: rec.class.as_str().to_string(),
-                    attempts: rec.attempts,
-                    wall_ms: rec.wall_ms,
-                    checksum: fnv1a64(rec.payload.as_bytes()),
-                    payload: rec.payload.clone(),
-                    token: rec.token,
-                });
-                resumed_names.insert(shard.name.clone());
-            }
-        } else {
-            obs::counter!("supervisor.journal_discarded").inc();
-            eprintln!(
-                "supervisor: {}: existing journal does not match this campaign's configuration; starting fresh",
-                cfg.campaign
-            );
-        }
-    }
-    // The coordinator's own publish is never chaos'd.
-    crate::supervisor::Journal::start(Some(journal.clone()), base_records, Chaos::off());
     // Leases from a previous (dead) coordinator are garbage: pids may
     // have been reused, so clear rather than steal.
     let _ = std::fs::remove_dir_all(&ldir);
 
-    let name_of: Vec<&str> = shards.iter().map(|s| s.name.as_str()).collect();
-    let worker_bin = worker_binary();
-    if worker_bin.is_none() {
-        eprintln!(
-            "supervisor: {}: eccparity-worker binary not found next to this executable; \
-             running the campaign in-process",
-            cfg.campaign
-        );
-    }
     let respawn_budget = workers * 4;
     let mut spawned = 0usize;
     let mut children: Vec<(std::process::Child, u32)> = Vec::new();
-    let progress = cfg.progress_path();
-    let mut fell_back = false;
-
+    let progress_path = cfg.progress_path();
     loop {
         let (records, _) = replay_journal(&journal);
         let view = distill_records(&records, Some(&quarantine));
-        let done = name_of
+        let done_wall: Vec<u64> = shards
             .iter()
-            .filter(|n| view.done.contains_key(**n))
-            .count() as u64;
-        if let Some(ppath) = &progress {
+            .filter_map(|s| view.done.get(&s.name))
+            .map(|r| r.wall_ms)
+            .collect();
+        let done = done_wall.len() as u64;
+        if let Some(ppath) = &progress_path {
             let claimed = count_leases(&ldir).min(total - done);
-            let remaining = total - done - claimed;
-            let done_wall: Vec<u64> = name_of
-                .iter()
-                .filter_map(|n| view.done.get(*n))
-                .map(|r| r.wall_ms)
-                .collect();
             let eta_ms = if done_wall.is_empty() || children.is_empty() {
                 0
             } else {
-                let mean = done_wall.iter().sum::<u64>() / done_wall.len() as u64;
-                mean * remaining / children.len().max(1) as u64
+                let mean = done_wall.iter().sum::<u64>() / done;
+                mean * (total - done - claimed) / children.len() as u64
             };
+            let alive = children.len() as u64;
             write_progress(
                 ppath,
-                &ProgressStamp {
-                    schema: PROGRESS_SCHEMA.to_string(),
-                    campaign: cfg.campaign.clone(),
-                    total_shards: total,
-                    done,
-                    claimed,
-                    remaining,
-                    workers_alive: children.len() as u64,
-                    elapsed_ms: started.elapsed().as_millis() as u64,
-                    eta_ms,
-                },
+                &progress(cfg, total, done, claimed, alive, started, eta_ms),
             );
         }
         if done == total {
-            break;
+            // Workers notice the drained journal and exit on their own;
+            // one may still be finishing a duplicate publish.
+            for (mut child, _) in children {
+                let _ = child.wait();
+            }
+            return replay_journal(&journal).0;
         }
 
         // Reap dead workers; their leases re-queue immediately so the
@@ -654,135 +500,27 @@ where
         }
 
         // Keep the fleet at strength while there is work and budget.
-        if let Some(bin) = &worker_bin {
-            while children.len() < workers && spawned < respawn_budget {
-                match spawn_worker(bin, &cfg.campaign, spawned) {
-                    Ok(child) => {
-                        let pid = child.id();
-                        children.push((child, pid));
-                        spawned += 1;
-                    }
-                    Err(e) => {
-                        crate::harness::warn_io("worker spawn", &e);
-                        break;
-                    }
+        while children.len() < workers && spawned < respawn_budget {
+            match spawn_worker(bin, &cfg.campaign, spawned) {
+                Ok(child) => {
+                    let pid = child.id();
+                    children.push((child, pid));
+                    spawned += 1;
+                }
+                Err(e) => {
+                    crate::harness::warn_io("worker spawn", &e);
+                    break;
                 }
             }
         }
-        if children.is_empty() && !fell_back {
-            // No fleet (missing binary, spawn failures, or budget burned
-            // by chaos): finish the remainder ourselves, without worker
-            // faults so chaos cannot kill the coordinator.
-            fell_back = true;
-            if spawned > 0 {
-                eprintln!(
-                    "supervisor: {}: worker respawn budget exhausted; finishing in-process",
-                    cfg.campaign
-                );
-            }
-            if let Err(e) = run_worker(cfg, &shards, WorkerOptions::default()) {
-                eprintln!("supervisor: {}: in-process drain failed: {e}", cfg.campaign);
-                obs::trace::flush();
-                std::process::exit(3);
-            }
-            continue;
+        if children.is_empty() {
+            eprintln!(
+                "supervisor: {}: no worker left to run (respawn budget {respawn_budget}, \
+                 {spawned} spawned); finishing in-process",
+                cfg.campaign
+            );
+            return records;
         }
         std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // Workers notice the drained journal and exit on their own.
-    for (mut child, _) in children {
-        let _ = child.wait();
-    }
-    let succeeded = {
-        let (records, _) = replay_journal(&journal);
-        let view = distill_records(&records, Some(&quarantine));
-        name_of
-            .iter()
-            .filter(|n| view.done.get(**n).is_some_and(|r| r.class.is_success()))
-            .count() as u64
-    };
-    if let Err(e) = append_record(&journal, &JournalRecord::RunComplete { succeeded }) {
-        crate::harness::warn_io("journal append", &e);
-    }
-
-    merge_results(cfg, shards, &journal, &quarantine, &resumed_names, total)
-}
-
-/// Distill the drained journal into a [`SupervisedRun`] in submission
-/// order, re-executing in-process any shard whose payload no longer
-/// deserializes (defense in depth; checksums make this near-impossible).
-fn merge_results<T>(
-    cfg: &SupervisorConfig,
-    shards: Vec<Shard<T>>,
-    journal: &Path,
-    quarantine: &Path,
-    resumed_names: &HashSet<String>,
-    total: u64,
-) -> SupervisedRun<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-{
-    let (records, _) = replay_journal(journal);
-    let view = distill_records(&records, Some(quarantine));
-    let mut tally: HashMap<&'static str, u64> = HashMap::new();
-    let mut outcomes = Vec::with_capacity(shards.len());
-    for shard in shards {
-        let Some(rec) = view.done.get(&shard.name) else {
-            // Unreachable: coordinate() loops until every shard is done.
-            eprintln!(
-                "supervisor: {}: shard {} missing from drained journal",
-                cfg.campaign, shard.name
-            );
-            obs::trace::flush();
-            std::process::exit(3);
-        };
-        let resumed = resumed_names.contains(&shard.name);
-        let result = if rec.class.is_success() {
-            match serde_json::from_str::<T>(&rec.payload) {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    obs::counter!("supervisor.journal_corrupt_payloads").inc();
-                    Some(shard.run())
-                }
-            }
-        } else {
-            None
-        };
-        *tally.entry(rec.class.as_str()).or_insert(0) += 1;
-        if resumed {
-            *tally.entry("resumed").or_insert(0) += 1;
-        }
-        outcomes.push(ShardOutcome {
-            name: shard.name.clone(),
-            class: rec.class,
-            attempts: rec.attempts,
-            resumed,
-            wall_ms: rec.wall_ms,
-            result,
-        });
-    }
-    let n = |k: &str| tally.get(k).copied().unwrap_or(0);
-    obs::counter!("supervisor.shards_completed").add(n("completed"));
-    obs::counter!("supervisor.shards_retried").add(n("retried"));
-    obs::counter!("supervisor.shards_timed_out").add(n("timed_out"));
-    obs::counter!("supervisor.shards_panicked").add(n("panicked"));
-    obs::counter!("supervisor.shards_resumed").add(n("resumed"));
-    eprintln!(
-        "supervisor: {}: {} shards | {} resumed, {} executed | completed {}, retried {}, timed_out {}, panicked {}, poisoned {} | journal write failures {}",
-        cfg.campaign,
-        total,
-        n("resumed"),
-        total - n("resumed"),
-        n("completed"),
-        n("retried"),
-        n("timed_out"),
-        n("panicked"),
-        n("poisoned"),
-        0,
-    );
-    SupervisedRun {
-        campaign: cfg.campaign.clone(),
-        outcomes,
     }
 }

@@ -18,6 +18,24 @@ pub(crate) fn fnv1a64_step(h: u64, b: u8) -> u64 {
     (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
+/// The keyed chaos decision every fault injector shares: FNV-1a over
+/// `seed`, `site` and the coordinates `a`, `b` (integers little-endian),
+/// reduced mod `denom`; fires on residue 0, so with probability about
+/// 1/`denom`. A `denom` of 0 never fires.
+pub fn roll(seed: u64, site: &str, a: u64, b: u64, denom: u64) -> bool {
+    let mut h = FNV1A64_EMPTY;
+    for &byte in seed
+        .to_le_bytes()
+        .iter()
+        .chain(site.as_bytes())
+        .chain(&a.to_le_bytes())
+        .chain(&b.to_le_bytes())
+    {
+        h = fnv1a64_step(h, byte);
+    }
+    denom != 0 && h.is_multiple_of(denom)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,7 @@ pub mod provenance;
 pub mod supervisor;
 
 pub use cache::{cached_run, print_cache_summary, RunCache, MODEL_VERSION};
-pub use distrib::{run_worker, supervise_distributed, WorkerOptions};
+pub use distrib::{run_worker, supervise_distributed};
 pub use harness::*;
 pub use provenance::RunMeter;
 pub use supervisor::{supervise, OutcomeClass, Shard, SupervisedRun, SupervisorConfig};

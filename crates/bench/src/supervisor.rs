@@ -38,6 +38,13 @@
 //!    `poison_threshold` starts with no completion) is classified
 //!    `Poisoned` and skipped instead of crash-looping the campaign.
 //!
+//! This is the campaign's one scheduler. A distributed campaign
+//! ([`crate::distrib`]) is the same run with a fleet phase after the
+//! journal's first publish: worker processes run their claimed shards
+//! through this module's attempt scheduler, and the shards they leave
+//! unsettled run here in-process. Resume distillation and the run's
+//! closing tallies are shared the same way.
+//!
 //! The chaos layer ([`crate::chaos`], `ECC_PARITY_CHAOS=<seed>`)
 //! deterministically injects infrastructure faults — corrupt cache
 //! entries, failed journal persists, first-attempt shard panics and
@@ -735,19 +742,6 @@ impl<T> Shard<T> {
             work: Arc::new(work),
         }
     }
-
-    /// Run the shard's work once, in the calling thread. Worker processes
-    /// use this (under their own catch_unwind + watchdog machinery); the
-    /// in-process scheduler below goes through the crate-private
-    /// `work_arc` accessor instead so the closure can outlive an
-    /// abandoned attempt thread.
-    pub fn run(&self) -> T {
-        (self.work)()
-    }
-
-    pub(crate) fn work_arc(&self) -> Arc<dyn Fn() -> T + Send + Sync + 'static> {
-        Arc::clone(&self.work)
-    }
 }
 
 impl<T> Clone for Shard<T> {
@@ -906,6 +900,8 @@ pub struct DoneRecord {
     pub payload: String,
     /// Fencing token the record was published under.
     pub token: u64,
+    /// Index of the winning record in the distilled slice.
+    pub(crate) record: usize,
 }
 
 /// A journal's records distilled into per-shard terminal state, tolerating
@@ -937,7 +933,7 @@ pub struct JournalView {
 /// path, appended there as one JSON line for post-mortems.
 pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> JournalView {
     let mut view = JournalView::default();
-    for rec in records {
+    for (i, rec) in records.iter().enumerate() {
         match rec {
             JournalRecord::ShardStart { shard } => {
                 *view.crash_counts.entry(shard.clone()).or_insert(0) += 1;
@@ -973,6 +969,7 @@ pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> 
                     wall_ms: *wall_ms,
                     payload: payload.clone(),
                     token: *token,
+                    record: i,
                 };
                 match view.done.get_mut(shard) {
                     Some(existing) if existing.token > incoming.token => {
@@ -1036,7 +1033,7 @@ pub fn header_matches(
     )
 }
 
-// ---- execution -------------------------------------------------------------
+// ---- resume ----------------------------------------------------------------
 
 /// Journal replay distilled into resume state.
 struct ResumeState {
@@ -1048,6 +1045,14 @@ struct ResumeState {
     records: Vec<JournalRecord>,
 }
 
+/// Distill a journal for a resumed run, single-process or distributed
+/// alike. Each shard's winner is the one [`distill_records`] picks; a
+/// successful winner is not re-executed. The continued journal keeps
+/// every record in file order but the `ShardDone`s that do not carry a
+/// successful winner (a prior run's terminal failure, a superseded
+/// duplicate, a quarantined or unclassifiable record), each dropped with
+/// the `ShardStart` it closed, so crash counts do not change and a shard
+/// re-executed now is the only record of it on the next resume.
 fn load_resume_state(
     cfg: &SupervisorConfig,
     path: &Path,
@@ -1070,12 +1075,36 @@ fn load_resume_state(
         return None;
     }
     let mut view = distill_records(&records, Some(&quarantine_path(path)));
-    // Terminal failures are re-executed on resume (fresh retry budget);
-    // only checksummed successes short-circuit.
-    view.done.retain(|_, rec| rec.class.is_success());
     if view.quarantined > 0 {
         obs::counter!("supervisor.journal_corrupt_payloads").add(view.quarantined);
     }
+    // Terminal failures are re-executed on resume (fresh retry budget);
+    // only checksummed successes short-circuit.
+    view.done.retain(|_, rec| rec.class.is_success());
+    let mut keep = vec![true; records.len()];
+    let mut open_starts: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, rec) in records.iter().enumerate() {
+        match rec {
+            JournalRecord::ShardStart { shard } => {
+                open_starts.entry(shard).or_default().push(i);
+            }
+            JournalRecord::ShardDone { shard, .. } => {
+                let start = open_starts.get_mut(shard.as_str()).and_then(Vec::pop);
+                if view.done.get(shard).is_none_or(|d| d.record != i) {
+                    keep[i] = false;
+                    if let Some(s) = start {
+                        keep[s] = false;
+                    }
+                }
+            }
+            JournalRecord::Header { .. } | JournalRecord::RunComplete { .. } => {}
+        }
+    }
+    let records = records
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(rec, keep)| keep.then_some(rec))
+        .collect();
     Some(ResumeState {
         done: view.done,
         crash_counts: view.crash_counts,
@@ -1083,58 +1112,16 @@ fn load_resume_state(
     })
 }
 
-/// The per-class tallies of one supervised run (summary line + counters).
-#[derive(Default)]
-struct ClassTally {
-    completed: u64,
-    retried: u64,
-    timed_out: u64,
-    panicked: u64,
-    poisoned: u64,
-    resumed: u64,
-}
+// ---- attempts --------------------------------------------------------------
 
-impl ClassTally {
-    fn record(&mut self, class: OutcomeClass, resumed: bool) {
-        if resumed {
-            self.resumed += 1;
-        }
-        match class {
-            OutcomeClass::Completed => self.completed += 1,
-            OutcomeClass::Retried => self.retried += 1,
-            OutcomeClass::TimedOut => self.timed_out += 1,
-            OutcomeClass::Panicked => self.panicked += 1,
-            OutcomeClass::Poisoned => self.poisoned += 1,
-        }
-    }
-}
-
-/// One in-flight shard attempt.
-struct Running {
-    idx: usize,
-    attempt: u32,
-    started: Instant,
-    deadline: Instant,
-}
-
-/// What an attempt thread reports: shard index, attempt number, and the
-/// result or panic message.
-type Report<T> = (usize, u32, Result<T, String>);
-
-/// A shard waiting to run (or to retry after backoff).
-struct Pending {
-    idx: usize,
-    attempts_done: u32,
-    ready_at: Instant,
-    started_journaled: bool,
-}
-
-struct Ledger {
+/// The failure ledger (`cfg.failures_path`, schema [`FAILURES_SCHEMA`]).
+pub(crate) struct Ledger {
     sink: Option<obs::jsonl::JsonlSink>,
 }
 
 impl Ledger {
-    fn open(cfg: &SupervisorConfig) -> Ledger {
+    /// Create (truncating) the ledger file, if `cfg` names one.
+    pub(crate) fn open(cfg: &SupervisorConfig) -> Ledger {
         let sink = cfg.failures_path.as_ref().and_then(|p| {
             obs::jsonl::JsonlSink::create(p, FAILURES_SCHEMA)
                 .map_err(|e| {
@@ -1205,137 +1192,72 @@ impl Ledger {
     }
 }
 
-/// Run `shards` under the supervisor. Returns one outcome per shard in
-/// submission order. See the module docs for the full contract.
+/// One shard's attempt chain, ended.
+pub(crate) struct Settled<T> {
+    /// Index of the shard in the slice [`run_attempts`] was given.
+    pub(crate) idx: usize,
+    pub(crate) class: OutcomeClass,
+    pub(crate) attempts: u32,
+    /// Wall time of the deciding attempt, milliseconds.
+    pub(crate) wall_ms: u64,
+    /// The result, for a success class.
+    pub(crate) result: Option<T>,
+}
+
+/// What [`run_attempts`] reports to the code journaling around it.
+pub(crate) enum AttemptEvent<T> {
+    /// The shard's first attempt is about to launch.
+    Started(usize),
+    /// The shard's attempt chain ended.
+    Settled(Settled<T>),
+}
+
+/// One in-flight shard attempt.
+struct Running {
+    idx: usize,
+    attempt: u32,
+    started: Instant,
+    deadline: Instant,
+}
+
+/// What an attempt thread reports: shard index, attempt number, and the
+/// result or panic message.
+type Report<T> = (usize, u32, Result<T, String>);
+
+/// A shard waiting to run (or to retry after backoff).
+struct Pending {
+    idx: usize,
+    attempts_done: u32,
+    ready_at: Instant,
+}
+
+/// Run the attempt chains of the shards `queue` names (indices into
+/// `shards`), up to `cfg.max_inflight` attempts at once. Each attempt runs
+/// on its own thread under [`catch_unwind`], after any chaos stall or
+/// panic, with a `cfg.timeout` watchdog; a failed attempt goes to the
+/// ledger and retries after exponential backoff until `cfg.retries` are
+/// spent. Every executed shard's outcome goes to the ledger too. `report`
+/// hears of each shard's first launch and of its settling; this returns
+/// once every queued shard has settled.
 ///
-/// Panics if two shards share a name (the journal keys by name).
-pub fn supervise<T>(cfg: &SupervisorConfig, shards: Vec<Shard<T>>) -> SupervisedRun<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-{
-    {
-        let mut seen = std::collections::HashSet::new();
-        for s in &shards {
-            assert!(
-                seen.insert(s.name.as_str()),
-                "duplicate shard name {:?}",
-                s.name
-            );
-        }
-    }
-    let total = shards.len() as u64;
-    let journal_path = cfg.journal_path();
-
-    // Resume (or not): distill any matching journal into prior state.
-    let resume_state = match (&journal_path, cfg.resume) {
-        (Some(path), true) if path.exists() => load_resume_state(cfg, path, total),
-        _ => None,
-    };
-    let (done, crash_counts, records) = match resume_state {
-        Some(s) => (s.done, s.crash_counts, s.records),
-        None => (
-            HashMap::new(),
-            HashMap::new(),
-            vec![JournalRecord::Header {
-                schema: JOURNAL_SCHEMA.to_string(),
-                campaign: cfg.campaign.clone(),
-                config_key: cfg.config_key.clone(),
-                total_shards: total,
-            }],
-        ),
-    };
-    // Publish the fresh header, or the replayed records, before any work
-    // runs; every later record is an append.
-    let mut journal = Journal::start(journal_path, records, cfg.chaos);
-
-    let mut ledger = Ledger::open(cfg);
-    let mut tally = ClassTally::default();
-    let mut outcomes: Vec<Option<ShardOutcome<T>>> = shards.iter().map(|_| None).collect();
-    let mut pending: Vec<Pending> = Vec::new();
-
-    // Settle resumed and poisoned shards; queue the rest.
-    for (idx, shard) in shards.iter().enumerate() {
-        if let Some(rec) = done.get(&shard.name) {
-            match serde_json::from_str::<T>(&rec.payload) {
-                Ok(v) => {
-                    tally.record(rec.class, true);
-                    ledger.outcome(
-                        &cfg.campaign,
-                        &shard.name,
-                        rec.class,
-                        rec.attempts,
-                        true,
-                        rec.wall_ms,
-                    );
-                    outcomes[idx] = Some(ShardOutcome {
-                        name: shard.name.clone(),
-                        class: rec.class,
-                        attempts: 0,
-                        resumed: true,
-                        wall_ms: rec.wall_ms,
-                        result: Some(v),
-                    });
-                    continue;
-                }
-                Err(_) => {
-                    obs::counter!("supervisor.journal_corrupt_payloads").inc();
-                    // Fall through: re-execute.
-                }
-            }
-        }
-        if crash_counts.get(&shard.name).copied().unwrap_or(0) >= cfg.poison_threshold {
-            obs::counter!("supervisor.shards_poisoned").inc();
-            if obs::trace::enabled() {
-                obs::trace::event(
-                    "supervisor.shard_poisoned",
-                    &[("shard", obs::trace::Value::Str(&shard.name))],
-                );
-            }
-            eprintln!(
-                "supervisor: {}: shard {} was in flight at {}+ process deaths; poisoned (crash-loop guard)",
-                cfg.campaign, shard.name, cfg.poison_threshold
-            );
-            tally.record(OutcomeClass::Poisoned, false);
-            ledger.outcome(
-                &cfg.campaign,
-                &shard.name,
-                OutcomeClass::Poisoned,
-                0,
-                false,
-                0,
-            );
-            journal.append(JournalRecord::ShardDone {
-                shard: shard.name.clone(),
-                class: OutcomeClass::Poisoned.as_str().to_string(),
-                attempts: 0,
-                wall_ms: 0,
-                checksum: fnv1a64(b""),
-                payload: String::new(),
-                token: 0,
-            });
-            outcomes[idx] = Some(ShardOutcome {
-                name: shard.name.clone(),
-                class: OutcomeClass::Poisoned,
-                attempts: 0,
-                resumed: false,
-                wall_ms: 0,
-                result: None,
-            });
-            continue;
-        }
-        pending.push(Pending {
+/// The loop sleeps until an attempt reports, the earliest watchdog
+/// deadline, or — with a slot free — the earliest backoff expiry,
+/// whichever comes first.
+pub(crate) fn run_attempts<T: Send + 'static>(
+    cfg: &SupervisorConfig,
+    shards: &[Shard<T>],
+    queue: Vec<usize>,
+    ledger: &mut Ledger,
+    mut report: impl FnMut(AttemptEvent<T>),
+) {
+    let mut pending: Vec<Pending> = queue
+        .into_iter()
+        .map(|idx| Pending {
             idx,
             attempts_done: 0,
             ready_at: Instant::now(),
-            started_journaled: false,
-        });
-    }
-
-    // The scheduler loop: keep up to `max_inflight` attempts running under
-    // their watchdogs, retrying with backoff, until every shard settles.
-    // Attempt threads report on one shared channel; the loop sleeps until
-    // a report, the earliest watchdog deadline, or — with a slot free —
-    // the earliest backoff expiry, whichever comes first.
+        })
+        .collect();
     let max_inflight = cfg.max_inflight.max(1);
     let (tx, rx) = mpsc::channel::<Report<T>>();
     let mut running: Vec<Running> = Vec::new();
@@ -1346,12 +1268,9 @@ where
             let Some(pos) = pending.iter().position(|p| p.ready_at <= now) else {
                 break;
             };
-            let mut p = pending.remove(pos);
-            if !p.started_journaled {
-                journal.append(JournalRecord::ShardStart {
-                    shard: shards[p.idx].name.clone(),
-                });
-                p.started_journaled = true;
+            let p = pending.remove(pos);
+            if p.attempts_done == 0 {
+                report(AttemptEvent::Started(p.idx));
             }
             let attempt = p.attempts_done + 1;
             let tx = tx.clone();
@@ -1411,94 +1330,287 @@ where
         for (run, verdict) in settled {
             let wall_ms = run.started.elapsed().as_millis() as u64;
             let name = &shards[run.idx].name;
-            match verdict {
-                Some(Ok(v)) => {
-                    let class = if run.attempt > 1 {
-                        OutcomeClass::Retried
-                    } else {
-                        OutcomeClass::Completed
-                    };
-                    let payload = match serde_json::to_string(&v) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            // Unserializable result: the run still succeeds,
-                            // but the checkpoint cannot cover this shard.
-                            crate::harness::warn_io("shard payload serialize", &e);
-                            String::new()
-                        }
-                    };
-                    journal.append(JournalRecord::ShardDone {
-                        shard: name.clone(),
-                        class: class.as_str().to_string(),
-                        attempts: run.attempt,
-                        wall_ms,
-                        checksum: fnv1a64(payload.as_bytes()),
-                        payload,
-                        token: 0,
-                    });
-                    tally.record(class, false);
-                    ledger.outcome(&cfg.campaign, name, class, run.attempt, false, wall_ms);
-                    outcomes[run.idx] = Some(ShardOutcome {
-                        name: name.clone(),
-                        class,
-                        attempts: run.attempt,
-                        resumed: false,
-                        wall_ms,
-                        result: Some(v),
-                    });
-                }
+            let (class, result) = match verdict {
+                Some(Ok(v)) if run.attempt > 1 => (OutcomeClass::Retried, Some(v)),
+                Some(Ok(v)) => (OutcomeClass::Completed, Some(v)),
                 failure => {
-                    let (kind, class, detail) = match &failure {
-                        None => (
-                            "timed_out",
+                    let (class, detail) = match failure {
+                        Some(Err(msg)) => (OutcomeClass::Panicked, msg),
+                        _ => (
                             OutcomeClass::TimedOut,
                             format!("watchdog deadline {:?} exceeded", cfg.timeout),
                         ),
-                        Some(Err(msg)) => ("panicked", OutcomeClass::Panicked, msg.clone()),
-                        Some(Ok(_)) => unreachable!("success handled above"),
                     };
+                    let kind = class.as_str();
                     ledger.attempt_failed(&cfg.campaign, name, run.attempt, kind, &detail, wall_ms);
                     eprintln!(
                         "supervisor: {}: shard {} attempt {} {kind} ({detail})",
                         cfg.campaign, name, run.attempt
                     );
-                    if run.attempt > cfg.retries {
-                        journal.append(JournalRecord::ShardDone {
-                            shard: name.clone(),
-                            class: class.as_str().to_string(),
-                            attempts: run.attempt,
-                            wall_ms,
-                            checksum: fnv1a64(b""),
-                            payload: String::new(),
-                            token: 0,
-                        });
-                        tally.record(class, false);
-                        ledger.outcome(&cfg.campaign, name, class, run.attempt, false, wall_ms);
-                        outcomes[run.idx] = Some(ShardOutcome {
-                            name: name.clone(),
-                            class,
-                            attempts: run.attempt,
-                            resumed: false,
-                            wall_ms,
-                            result: None,
-                        });
-                    } else {
+                    if run.attempt <= cfg.retries {
                         // Exponential backoff: base << (attempts already used - 1).
                         let factor = 1u32 << (run.attempt - 1).min(16);
                         pending.push(Pending {
                             idx: run.idx,
                             attempts_done: run.attempt,
                             ready_at: Instant::now() + cfg.backoff * factor,
-                            started_journaled: true,
                         });
+                        continue;
                     }
+                    (class, None)
                 }
-            }
+            };
+            ledger.outcome(&cfg.campaign, name, class, run.attempt, false, wall_ms);
+            report(AttemptEvent::Settled(Settled {
+                idx: run.idx,
+                class,
+                attempts: run.attempt,
+                wall_ms,
+                result,
+            }));
         }
     }
+}
 
+/// The `ShardDone` record of a settled shard, published under fencing
+/// `token`. The payload is the serialized result: empty for a failure, and
+/// for a result that does not serialize (the run still has the result,
+/// but the checkpoint cannot cover the shard).
+pub(crate) fn done_record<T: Serialize>(
+    shard: &str,
+    class: OutcomeClass,
+    attempts: u32,
+    wall_ms: u64,
+    result: Option<&T>,
+    token: u64,
+) -> JournalRecord {
+    let payload = result.map_or_else(String::new, |v| {
+        serde_json::to_string(v).unwrap_or_else(|e| {
+            crate::harness::warn_io("shard payload serialize", &e);
+            String::new()
+        })
+    });
+    JournalRecord::ShardDone {
+        shard: shard.to_string(),
+        class: class.as_str().to_string(),
+        attempts,
+        wall_ms,
+        checksum: fnv1a64(payload.as_bytes()),
+        payload,
+        token,
+    }
+}
+
+// ---- supervision -----------------------------------------------------------
+
+/// Run `shards` under the supervisor. Returns one outcome per shard in
+/// submission order. See the module docs for the full contract.
+///
+/// Panics if two shards share a name (the journal keys by name).
+pub fn supervise<T>(cfg: &SupervisorConfig, shards: Vec<Shard<T>>) -> SupervisedRun<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+{
+    supervise_with(cfg, shards, None)
+}
+
+/// The worker-process phase of a distributed campaign (see
+/// [`crate::distrib`]): other processes append to the journal while it
+/// runs, and it returns the journal's records as it leaves them.
+pub(crate) type Fleet<'a, T> = &'a mut dyn FnMut(&[Shard<T>]) -> Vec<JournalRecord>;
+
+/// [`supervise`], with `fleet` (if any) between the journal's first
+/// publish and the in-process scheduler: the shards the fleet settled are
+/// taken from the journal it leaves, and the scheduler runs the rest.
+pub(crate) fn supervise_with<T>(
+    cfg: &SupervisorConfig,
+    shards: Vec<Shard<T>>,
+    fleet: Option<Fleet<'_, T>>,
+) -> SupervisedRun<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+{
+    {
+        let mut seen = std::collections::HashSet::new();
+        for s in &shards {
+            assert!(
+                seen.insert(s.name.as_str()),
+                "duplicate shard name {:?}",
+                s.name
+            );
+        }
+    }
+    let total = shards.len() as u64;
+    let journal_path = cfg.journal_path();
+
+    // Resume (or not): distill any matching journal into prior state.
+    let resume_state = match (&journal_path, cfg.resume) {
+        (Some(path), true) if path.exists() => load_resume_state(cfg, path, total),
+        _ => None,
+    };
+    let (done, mut crash_counts, records) = match resume_state {
+        Some(s) => (s.done, s.crash_counts, s.records),
+        None => (
+            HashMap::new(),
+            HashMap::new(),
+            vec![JournalRecord::Header {
+                schema: JOURNAL_SCHEMA.to_string(),
+                campaign: cfg.campaign.clone(),
+                config_key: cfg.config_key.clone(),
+                total_shards: total,
+            }],
+        ),
+    };
+    // Publish the fresh header, or the resumed records, before any work
+    // runs; every later record is an append. Workers read that publish and
+    // append beside the coordinator, so under a fleet no persist is
+    // chaos-failed: a lost publish would hide the header from them, and a
+    // republish would replace their records.
+    let chaos = if fleet.is_some() {
+        Chaos::off()
+    } else {
+        cfg.chaos
+    };
+    let mut journal = Journal::start(journal_path, records, chaos);
+    let fleet_done = fleet.map(|fleet| {
+        journal.records = fleet(&shards);
+        let view = distill_records(&journal.records, None);
+        crash_counts = view.crash_counts;
+        view.done
+    });
+
+    let mut ledger = Ledger::open(cfg);
+    let mut outcomes: Vec<Option<ShardOutcome<T>>> = shards.iter().map(|_| None).collect();
+    let mut queue = Vec::new();
+
+    // Settle resumed, fleet-settled and poisoned shards; queue the rest.
+    for (idx, shard) in shards.iter().enumerate() {
+        let settled = done.get(&shard.name).map(|rec| (rec, true)).or_else(|| {
+            let rec = fleet_done.as_ref()?.get(&shard.name)?;
+            Some((rec, false))
+        });
+        if let Some((rec, resumed)) = settled {
+            let result = if rec.class.is_success() {
+                serde_json::from_str::<T>(&rec.payload).ok()
+            } else {
+                None
+            };
+            if result.is_some() || !rec.class.is_success() {
+                ledger.outcome(
+                    &cfg.campaign,
+                    &shard.name,
+                    rec.class,
+                    rec.attempts,
+                    resumed,
+                    rec.wall_ms,
+                );
+                outcomes[idx] = Some(ShardOutcome {
+                    name: shard.name.clone(),
+                    class: rec.class,
+                    attempts: if resumed { 0 } else { rec.attempts },
+                    resumed,
+                    wall_ms: rec.wall_ms,
+                    result,
+                });
+                continue;
+            }
+            // A checksummed payload that no longer deserializes: re-execute.
+            obs::counter!("supervisor.journal_corrupt_payloads").inc();
+        }
+        if crash_counts.get(&shard.name).copied().unwrap_or(0) >= cfg.poison_threshold {
+            obs::counter!("supervisor.shards_poisoned").inc();
+            if obs::trace::enabled() {
+                obs::trace::event(
+                    "supervisor.shard_poisoned",
+                    &[("shard", obs::trace::Value::Str(&shard.name))],
+                );
+            }
+            eprintln!(
+                "supervisor: {}: shard {} was in flight at {}+ process deaths; poisoned (crash-loop guard)",
+                cfg.campaign, shard.name, cfg.poison_threshold
+            );
+            let class = OutcomeClass::Poisoned;
+            ledger.outcome(&cfg.campaign, &shard.name, class, 0, false, 0);
+            journal.append(done_record::<T>(&shard.name, class, 0, 0, None, 0));
+            outcomes[idx] = Some(ShardOutcome {
+                name: shard.name.clone(),
+                class,
+                attempts: 0,
+                resumed: false,
+                wall_ms: 0,
+                result: None,
+            });
+            continue;
+        }
+        queue.push(idx);
+    }
+
+    run_attempts(cfg, &shards, queue, &mut ledger, |event| match event {
+        AttemptEvent::Started(idx) => journal.append(JournalRecord::ShardStart {
+            shard: shards[idx].name.clone(),
+        }),
+        AttemptEvent::Settled(s) => {
+            let name = &shards[s.idx].name;
+            journal.append(done_record(
+                name,
+                s.class,
+                s.attempts,
+                s.wall_ms,
+                s.result.as_ref(),
+                0,
+            ));
+            outcomes[s.idx] = Some(ShardOutcome {
+                name: name.clone(),
+                class: s.class,
+                attempts: s.attempts,
+                resumed: false,
+                wall_ms: s.wall_ms,
+                result: s.result,
+            });
+        }
+    });
+
+    finish(
+        cfg,
+        &mut journal,
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every shard settles before the scheduler returns"))
+            .collect(),
+    )
+}
+
+/// The per-class tallies of one supervised run (summary line + counters).
+#[derive(Default)]
+struct ClassTally {
+    completed: u64,
+    retried: u64,
+    timed_out: u64,
+    panicked: u64,
+    poisoned: u64,
+    resumed: u64,
+}
+
+/// Close a run: append `RunComplete`, add the per-class counters, print
+/// the summary line, and hand back the outcomes.
+fn finish<T>(
+    cfg: &SupervisorConfig,
+    journal: &mut Journal,
+    outcomes: Vec<ShardOutcome<T>>,
+) -> SupervisedRun<T> {
     // A resumed shard is tallied under its journaled class too, so the
     // two success classes already count it.
+    let mut tally = ClassTally::default();
+    for o in &outcomes {
+        tally.resumed += u64::from(o.resumed);
+        match o.class {
+            OutcomeClass::Completed => tally.completed += 1,
+            OutcomeClass::Retried => tally.retried += 1,
+            OutcomeClass::TimedOut => tally.timed_out += 1,
+            OutcomeClass::Panicked => tally.panicked += 1,
+            OutcomeClass::Poisoned => tally.poisoned += 1,
+        }
+    }
     journal.append(JournalRecord::RunComplete {
         succeeded: tally.completed + tally.retried,
     });
@@ -1510,6 +1622,7 @@ where
     obs::counter!("supervisor.shards_panicked").add(tally.panicked);
     obs::counter!("supervisor.shards_resumed").add(tally.resumed);
 
+    let total = outcomes.len() as u64;
     eprintln!(
         "supervisor: {}: {} shards | {} resumed, {} executed | completed {}, retried {}, timed_out {}, panicked {}, poisoned {} | journal write failures {}",
         cfg.campaign,
@@ -1526,15 +1639,12 @@ where
 
     SupervisedRun {
         campaign: cfg.campaign.clone(),
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every shard settles before the loop exits"))
-            .collect(),
+        outcomes,
     }
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = e.downcast_ref::<String>() {

@@ -7,7 +7,7 @@
 //! `from_env`), so they are immune to `ECC_PARITY_*` in the environment.
 
 use eccparity_bench::chaos::Chaos;
-use eccparity_bench::distrib::{run_worker, WorkerOptions};
+use eccparity_bench::distrib::run_worker;
 use eccparity_bench::hash::fnv1a64;
 use eccparity_bench::lease::{
     lease_path, requeue_leases_of, try_claim, ClaimOutcome, LeaseConfig, LeaseFile, LEASE_SCHEMA,
@@ -19,7 +19,7 @@ use eccparity_bench::supervisor::{
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_dir() -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -212,7 +212,7 @@ fn concurrent_workers_drain_a_campaign_exactly_once() {
             .map(|_| {
                 let cfg = cfg.clone();
                 let shards = shards.clone();
-                s.spawn(move || run_worker(&cfg, &shards, WorkerOptions::default()).unwrap())
+                s.spawn(move || run_worker(&cfg, &shards).unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -319,7 +319,7 @@ fn worker_poisons_a_crash_looping_shard() {
         .unwrap();
     }
     let shards = vec![Shard::new("campaign:p:chunk0", || 1u64)];
-    let report = run_worker(&cfg, &shards, WorkerOptions::default()).unwrap();
+    let report = run_worker(&cfg, &shards).unwrap();
     assert_eq!(report.executed, 0, "a poisoned shard must not re-execute");
     let (records, _) = replay_journal(&journal);
     let view = distill_records(&records, None);
@@ -327,4 +327,80 @@ fn worker_poisons_a_crash_looping_shard() {
         view.done["campaign:p:chunk0"].class,
         eccparity_bench::supervisor::OutcomeClass::Poisoned
     );
+}
+
+#[test]
+fn worker_settles_each_shard_without_waiting_out_a_heartbeat() {
+    let dir = temp_dir();
+    let cfg = worker_cfg("lease_prompt", &dir);
+    let shards: Vec<Shard<u64>> = (0..4u64)
+        .map(|i| Shard::new(format!("campaign:prompt:chunk{i}"), move || i))
+        .collect();
+    publish_header(&cfg, shards.len() as u64);
+    // Stopping the heartbeat thread wakes it: a worker that waited out a
+    // whole interval per shard would need four default intervals here.
+    let t = Instant::now();
+    let report = run_worker(&cfg, &shards).unwrap();
+    let elapsed = t.elapsed();
+    assert_eq!(report.executed, 4);
+    assert!(
+        elapsed < LeaseConfig::default().heartbeat / 2,
+        "4 instant shards took {elapsed:?}"
+    );
+}
+
+#[test]
+fn worker_records_failed_attempts_in_its_ledger() {
+    let dir = temp_dir();
+    let mut cfg = worker_cfg("lease_ledger", &dir);
+    let ledger = dir.join("worker.failures.jsonl");
+    cfg.failures_path = Some(ledger.clone());
+    publish_header(&cfg, 1);
+    let calls = Arc::new(AtomicU32::new(0));
+    let c = Arc::clone(&calls);
+    let shards = vec![Shard::new("campaign:flaky:chunk0", move || {
+        if c.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("first attempt fails");
+        }
+        5u64
+    })];
+    let report = run_worker(&cfg, &shards).unwrap();
+    assert_eq!(report.published, 1);
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+    let text = std::fs::read_to_string(&ledger).expect("the worker writes its ledger");
+    let failed: Vec<serde_json::Value> = text
+        .lines()
+        .map(|l| serde_json::from_str::<serde_json::Value>(l).unwrap())
+        .filter(|l| l["kind"].as_str() == Some("shard.attempt_failed"))
+        .collect();
+    assert_eq!(failed.len(), 1, "ledger: {text}");
+    assert_eq!(failed[0]["fields"]["failure"].as_str(), Some("panicked"));
+    assert_eq!(failed[0]["fields"]["attempt"].as_u64(), Some(1));
+}
+
+#[test]
+fn racing_workers_execute_each_shard_once() {
+    // A worker's view of the journal can predate another worker's publish
+    // and release of a shard; claiming that shard must not run it again.
+    let dir = temp_dir();
+    let cfg = worker_cfg("lease_once", &dir);
+    let executed = Arc::new(AtomicU32::new(0));
+    let shards: Vec<Shard<u64>> = (0..300u64)
+        .map(|i| {
+            let executed = Arc::clone(&executed);
+            Shard::new(format!("campaign:once:chunk{i}"), move || {
+                executed.fetch_add(1, Ordering::Relaxed);
+                i
+            })
+        })
+        .collect();
+    publish_header(&cfg, shards.len() as u64);
+    let published: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..3)
+            .map(|_| s.spawn(|| run_worker(&cfg, &shards).unwrap().published))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(executed.load(Ordering::Relaxed), 300);
+    assert_eq!(published, 300);
 }

@@ -806,6 +806,58 @@ fn resume_skips_a_non_utf8_line_and_replays_the_rest() {
     assert_eq!(second.into_results(), want);
 }
 
+#[test]
+fn a_reexecuted_shard_beats_a_lease_stamped_failure_on_the_next_resume() {
+    // A distributed run's journal: s0 completed under lease token 1, s1
+    // timed out under token 2.
+    let dir = temp_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut timed_out = done("s1", "", 2);
+    if let JournalRecord::ShardDone { class, .. } = &mut timed_out {
+        *class = "timed_out".to_string();
+    }
+    let records = [
+        JournalRecord::Header {
+            schema: JOURNAL_SCHEMA.to_string(),
+            campaign: "stale_failure".to_string(),
+            config_key: "test-v1".to_string(),
+            total_shards: 2,
+        },
+        JournalRecord::ShardStart {
+            shard: "s0".to_string(),
+        },
+        done("s0", "7", 1),
+        JournalRecord::ShardStart {
+            shard: "s1".to_string(),
+        },
+        timed_out,
+    ];
+    let text: String = records
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap() + "\n")
+        .collect();
+    let path = journal_path(&dir, "stale_failure");
+    std::fs::write(&path, text).unwrap();
+
+    let mut cfg = test_cfg("stale_failure", &dir);
+    cfg.resume = true;
+    let executed = Arc::new(AtomicU32::new(0));
+    let first = supervise(&cfg, counting_shards(2, &executed));
+    assert_eq!(executed.load(Ordering::Relaxed), 1, "only s1 re-executes");
+    let resumed: Vec<bool> = first.outcomes.iter().map(|o| o.resumed).collect();
+    assert_eq!(resumed, [true, false]);
+    assert_eq!(first.into_results(), [7, 8]);
+    let (after, _) = replay_journal(&path);
+    let view = distill_records(&after, None);
+    assert_eq!(view.done["s1"].class, OutcomeClass::Completed);
+    assert_eq!(view.crash_counts.get("s1"), None, "no crash is invented");
+
+    let second = supervise(&cfg, counting_shards(2, &executed));
+    assert_eq!(executed.load(Ordering::Relaxed), 1, "nothing re-executes");
+    assert!(second.outcomes.iter().all(|o| o.resumed));
+    assert_eq!(second.into_results(), [7, 8]);
+}
+
 // ---- multi-writer journal hardening (distributed campaigns) ----------------
 
 #[test]

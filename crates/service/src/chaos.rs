@@ -17,7 +17,7 @@
 //! retry converges to the fault-free state — which is what makes the CI
 //! `chaos-smoke` "chaos transcript == golden transcript" gate meaningful.
 
-use eccparity_bench::hash::fnv1a64;
+use eccparity_bench::hash::{fnv1a64, roll};
 use std::sync::OnceLock;
 
 /// A deterministic chaos source for the service layer. `Copy`, so every
@@ -90,19 +90,11 @@ impl ServiceChaos {
         self.seed.is_some()
     }
 
-    /// Deterministic roll: a hash of (seed, site, shard, batch) reduced
-    /// mod `denom`; true on residue 0 (probability ~1/denom).
+    /// [`eccparity_bench::hash::roll`] over (seed, site, shard, batch);
+    /// never fires when disarmed or at a zero denominator.
     fn roll(&self, site: &str, shard: u64, batch: u64, denom: u64) -> bool {
-        let Some(seed) = self.seed else { return false };
-        if denom == 0 {
-            return false;
-        }
-        let mut key = Vec::with_capacity(site.len() + 24);
-        key.extend_from_slice(&seed.to_le_bytes());
-        key.extend_from_slice(site.as_bytes());
-        key.extend_from_slice(&shard.to_le_bytes());
-        key.extend_from_slice(&batch.to_le_bytes());
-        fnv1a64(&key).is_multiple_of(denom)
+        self.seed
+            .is_some_and(|seed| roll(seed, site, shard, batch, denom))
     }
 
     /// Should this shard's `batch`-th batch panic before applying
@@ -159,6 +151,93 @@ pub fn global() -> ServiceChaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first 64 decisions of each rolled site on shards 0–3 and 1000
+    /// as bit masks (bit `b` = fired on batch `b`): batch panics, then
+    /// stalls. Shard 1000 spans two key bytes, so a roll that took its
+    /// coordinates in the other order would move its masks.
+    fn decisions(c: ServiceChaos) -> [[u64; 5]; 2] {
+        let mut m = [[0u64; 5]; 2];
+        for (col, shard) in [0, 1, 2, 3, 1000u64].into_iter().enumerate() {
+            for b in 0..64u64 {
+                m[0][col] |= u64::from(c.batch_panic(shard, b, 1)) << b;
+                m[1][col] |= u64::from(c.batch_stall_ms(shard, b).is_some()) << b;
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn decisions_are_pinned() {
+        let pinned: [(u64, [[u64; 5]; 2]); 3] = [
+            (
+                7,
+                [
+                    [
+                        0x1010101010101010,
+                        0x2020202020202020,
+                        0x4040404040404040,
+                        0x8080808080808080,
+                        0x2020202020202020,
+                    ],
+                    [
+                        0x0002000200020002,
+                        0x0001000100010001,
+                        0x0008000800080008,
+                        0x0004000400040004,
+                        0x0100010001000100,
+                    ],
+                ],
+            ),
+            (
+                9,
+                [
+                    [
+                        0x0404040404040404,
+                        0x0808080808080808,
+                        0x0101010101010101,
+                        0x0202020202020202,
+                        0x8080808080808080,
+                    ],
+                    [
+                        0x0008000800080008,
+                        0x0004000400040004,
+                        0x0002000200020002,
+                        0x0001000100010001,
+                        0x0040004000400040,
+                    ],
+                ],
+            ),
+            (
+                17,
+                [
+                    [
+                        0x0404040404040404,
+                        0x0808080808080808,
+                        0x0101010101010101,
+                        0x0202020202020202,
+                        0x8080808080808080,
+                    ],
+                    [
+                        0x0800080008000800,
+                        0x0400040004000400,
+                        0x0200020002000200,
+                        0x0100010001000100,
+                        0x4000400040004000,
+                    ],
+                ],
+            ),
+        ];
+        for (seed, masks) in pinned {
+            assert_eq!(
+                decisions(ServiceChaos::from_seed(seed)),
+                masks,
+                "seed {seed}"
+            );
+            // A zero denominator disarms its site at every seed.
+            assert_eq!(decisions(ServiceChaos::explicit(seed, 0, 0)), [[0; 5]; 2]);
+        }
+    }
 
     #[test]
     fn disarmed_chaos_never_fires() {
