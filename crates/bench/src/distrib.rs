@@ -31,9 +31,9 @@
 
 use crate::lease::{self, ClaimOutcome, LeaseConfig};
 use crate::supervisor::{
-    append_record, distill_records, done_record, header_matches, quarantine_path, replay_journal,
-    run_attempts, supervise, supervise_with, AttemptEvent, JournalRecord, Ledger, OutcomeClass,
-    Shard, SupervisedRun, SupervisorConfig, JOURNAL_SCHEMA,
+    append_record, distill_records, done_record, header_matches, replay_journal, run_attempts,
+    supervise, supervise_with, AttemptEvent, JournalRecord, Ledger, OutcomeClass, Shard,
+    SupervisedRun, SupervisorConfig, JOURNAL_SCHEMA,
 };
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -167,7 +167,6 @@ where
     let ldir = cfg
         .lease_dir()
         .ok_or_else(|| "worker requires a checkpoint directory".to_string())?;
-    let quarantine = quarantine_path(&journal);
     let lcfg = LeaseConfig::from_env();
     let chaos = cfg.chaos;
     let total = shards.len() as u64;
@@ -190,7 +189,7 @@ where
             std::thread::sleep(Duration::from_millis(50));
             continue;
         }
-        let view = distill_records(&records, Some(&quarantine));
+        let view = distill_records(&records);
         if shards.iter().all(|s| view.done.contains_key(&s.name)) {
             break 'drain;
         }
@@ -211,7 +210,7 @@ where
             // publishes before it releases: only a replay after the claim
             // shows whether the shard is still unsettled.
             let (records, _) = replay_journal(&journal);
-            let view = distill_records(&records, None);
+            let view = distill_records(&records);
             if view.done.contains_key(&shard.name) {
                 lease.release();
                 continue 'drain;
@@ -431,7 +430,6 @@ fn fleet<T>(
     let total = shards.len() as u64;
     let journal = cfg.journal_path().expect("caller checked cfg.dir");
     let ldir = cfg.lease_dir().expect("caller checked cfg.dir");
-    let quarantine = quarantine_path(&journal);
     // Leases from a previous (dead) coordinator are garbage: pids may
     // have been reused, so clear rather than steal.
     let _ = std::fs::remove_dir_all(&ldir);
@@ -442,7 +440,7 @@ fn fleet<T>(
     let progress_path = cfg.progress_path();
     loop {
         let (records, _) = replay_journal(&journal);
-        let view = distill_records(&records, Some(&quarantine));
+        let view = distill_records(&records);
         let done_wall: Vec<u64> = shards
             .iter()
             .filter_map(|s| view.done.get(&s.name))
@@ -522,5 +520,62 @@ fn fleet<T>(
             return records;
         }
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::Chaos;
+    use crate::supervisor::quarantine_path;
+
+    #[test]
+    fn a_corrupt_record_reaches_the_quarantine_sidecar_once() {
+        obs::metrics::set_enabled(true);
+        let dir =
+            std::env::temp_dir().join(format!("eccparity_quarantine_once_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = SupervisorConfig {
+            campaign: "quarantine_once".to_string(),
+            config_key: "quarantine-once-v1".to_string(),
+            dir: Some(dir.clone()),
+            resume: false,
+            timeout: Duration::from_secs(30),
+            retries: 0,
+            backoff: Duration::from_millis(1),
+            poison_threshold: 3,
+            max_inflight: 2,
+            chaos: Chaos::off(),
+            failures_path: None,
+        };
+        let shards: Vec<Shard<u64>> = (0..8u64)
+            .map(|i| Shard::new(format!("campaign:quarantine:chunk{i}"), move || i))
+            .collect();
+        let journal = cfg.journal_path().unwrap();
+        let quarantined = obs::counter!("supervisor.journal.quarantined");
+        let before = quarantined.get();
+        // The fleet phase: one corrupt publish lands in the journal, then a
+        // worker drains every shard, distilling the journal on each loop.
+        let mut fleet = |shards: &[Shard<u64>]| {
+            let corrupt = JournalRecord::ShardDone {
+                shard: shards[0].name.clone(),
+                class: "completed".to_string(),
+                attempts: 1,
+                wall_ms: 1,
+                checksum: 1,
+                payload: "0".to_string(),
+                token: 1,
+            };
+            append_record(&journal, &corrupt).unwrap();
+            assert_eq!(run_worker(&cfg, shards).unwrap().executed, 8);
+            replay_journal(&journal).0
+        };
+        let run = supervise_with(&cfg, shards, Some(&mut fleet));
+        assert!(run.all_succeeded());
+        let sidecar = std::fs::read_to_string(quarantine_path(&journal)).unwrap();
+        assert_eq!(sidecar.lines().count(), 1, "{sidecar}");
+        assert_eq!(quarantined.get() - before, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

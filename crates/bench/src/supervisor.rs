@@ -920,18 +920,20 @@ pub struct JournalView {
     /// Valid-but-losing duplicates discarded (stale fencing token or
     /// superseded by a later equal-token record).
     pub superseded: u64,
-    /// Records whose payload failed its checksum, quarantined rather than
-    /// trusted.
-    pub quarantined: u64,
+    /// Indices, in file order, of the records whose payload failed its
+    /// checksum: quarantined rather than trusted.
+    pub quarantined: Vec<usize>,
 }
 
 /// Distill journal records into per-shard terminal state. Duplicate
 /// done-records resolve by fencing token (highest wins; equal tokens:
-/// last-valid-wins), counted in `supervisor.journal.superseded`. A record
-/// whose payload fails its FNV-1a checksum is never trusted: it is counted
-/// in `supervisor.journal.quarantined` and, when `quarantine` names a
-/// path, appended there as one JSON line for post-mortems.
-pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> JournalView {
+/// last-valid-wins). A record whose payload fails its FNV-1a checksum is
+/// never trusted, and is listed in [`JournalView::quarantined`].
+///
+/// Distillation writes and counts nothing: workers and the fleet phase
+/// distill the same journal on every loop. The journal's owner reports
+/// what a distillation found once, with [`report_distillation`].
+pub fn distill_records(records: &[JournalRecord]) -> JournalView {
     let mut view = JournalView::default();
     for (i, rec) in records.iter().enumerate() {
         match rec {
@@ -954,13 +956,7 @@ pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> 
                     continue;
                 };
                 if *checksum != fnv1a64(payload.as_bytes()) {
-                    view.quarantined += 1;
-                    obs::counter!("supervisor.journal.quarantined").inc();
-                    if let Some(qpath) = quarantine {
-                        let mut line = String::new();
-                        rec.write_line(&mut line);
-                        let _ = append_line(qpath, &line);
-                    }
+                    view.quarantined.push(i);
                     continue;
                 }
                 let incoming = DoneRecord {
@@ -976,12 +972,10 @@ pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> 
                         // Zombie publish from a stolen lease: the thief's
                         // higher-token record already landed.
                         view.superseded += 1;
-                        obs::counter!("supervisor.journal.superseded").inc();
                     }
                     Some(existing) => {
                         *existing = incoming;
                         view.superseded += 1;
-                        obs::counter!("supervisor.journal.superseded").inc();
                     }
                     None => {
                         view.done.insert(shard.clone(), incoming);
@@ -995,6 +989,23 @@ pub fn distill_records(records: &[JournalRecord], quarantine: Option<&Path>) -> 
     view
 }
 
+/// The journal owner's report of `view`, a distillation of `records`:
+/// superseded duplicates are counted in `supervisor.journal.superseded`,
+/// and each quarantined record is counted in
+/// `supervisor.journal.quarantined` and appended to the sidecar
+/// `quarantine` as one JSON line for post-mortems. The owner calls this
+/// once per set of records, on resume and after the fleet phase, so each
+/// record lands in the sidecar once.
+pub fn report_distillation(quarantine: &Path, records: &[JournalRecord], view: &JournalView) {
+    obs::counter!("supervisor.journal.superseded").add(view.superseded);
+    for &i in &view.quarantined {
+        obs::counter!("supervisor.journal.quarantined").inc();
+        let mut line = String::new();
+        records[i].write_line(&mut line);
+        let _ = append_line(quarantine, &line);
+    }
+}
+
 /// Append `line`, newline included, in one `O_APPEND` write.
 fn append_line(path: &Path, line: &str) -> std::io::Result<std::fs::File> {
     use std::io::Write;
@@ -1006,7 +1017,7 @@ fn append_line(path: &Path, line: &str) -> std::io::Result<std::fs::File> {
     Ok(f)
 }
 
-/// The sidecar path where [`distill_records`] quarantines
+/// The sidecar path where [`report_distillation`] quarantines
 /// checksum-mismatched journal records.
 pub fn quarantine_path(journal: &Path) -> PathBuf {
     let mut name = journal
@@ -1074,9 +1085,10 @@ fn load_resume_state(
         );
         return None;
     }
-    let mut view = distill_records(&records, Some(&quarantine_path(path)));
-    if view.quarantined > 0 {
-        obs::counter!("supervisor.journal_corrupt_payloads").add(view.quarantined);
+    let mut view = distill_records(&records);
+    report_distillation(&quarantine_path(path), &records, &view);
+    if !view.quarantined.is_empty() {
+        obs::counter!("supervisor.journal_corrupt_payloads").add(view.quarantined.len() as u64);
     }
     // Terminal failures are re-executed on resume (fresh retry budget);
     // only checksummed successes short-circuit.
@@ -1471,10 +1483,13 @@ where
     } else {
         cfg.chaos
     };
-    let mut journal = Journal::start(journal_path, records, chaos);
+    let mut journal = Journal::start(journal_path.clone(), records, chaos);
     let fleet_done = fleet.map(|fleet| {
         journal.records = fleet(&shards);
-        let view = distill_records(&journal.records, None);
+        let view = distill_records(&journal.records);
+        if let Some(path) = &journal_path {
+            report_distillation(&quarantine_path(path), &journal.records, &view);
+        }
         crash_counts = view.crash_counts;
         view.done
     });

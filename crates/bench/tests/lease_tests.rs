@@ -224,7 +224,7 @@ fn concurrent_workers_drain_a_campaign_exactly_once() {
         "every shard must be published at least once ({published})"
     );
     let (records, _) = replay_journal(&cfg.journal_path().unwrap());
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     for (i, shard) in shards.iter().enumerate() {
         let rec = view
             .done
@@ -295,7 +295,7 @@ fn zombie_publish_is_rejected_by_the_fencing_token() {
     .unwrap();
 
     let (records, _) = replay_journal(&journal);
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     let rec = &view.done["campaign:z:chunk0"];
     assert_eq!(rec.payload, "42", "the thief's record must win");
     assert_eq!(rec.token, 2);
@@ -322,7 +322,7 @@ fn worker_poisons_a_crash_looping_shard() {
     let report = run_worker(&cfg, &shards).unwrap();
     assert_eq!(report.executed, 0, "a poisoned shard must not re-execute");
     let (records, _) = replay_journal(&journal);
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     assert_eq!(
         view.done["campaign:p:chunk0"].class,
         eccparity_bench::supervisor::OutcomeClass::Poisoned

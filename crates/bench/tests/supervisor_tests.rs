@@ -9,8 +9,8 @@
 use eccparity_bench::chaos::Chaos;
 use eccparity_bench::hash::fnv1a64;
 use eccparity_bench::supervisor::{
-    distill_records, replay_journal, supervise, JournalRecord, OutcomeClass, Shard,
-    SupervisorConfig, JOURNAL_SCHEMA,
+    distill_records, replay_journal, report_distillation, supervise, JournalRecord, OutcomeClass,
+    Shard, SupervisorConfig, JOURNAL_SCHEMA,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -848,7 +848,7 @@ fn a_reexecuted_shard_beats_a_lease_stamped_failure_on_the_next_resume() {
     assert_eq!(resumed, [true, false]);
     assert_eq!(first.into_results(), [7, 8]);
     let (after, _) = replay_journal(&path);
-    let view = distill_records(&after, None);
+    let view = distill_records(&after);
     assert_eq!(view.done["s1"].class, OutcomeClass::Completed);
     assert_eq!(view.crash_counts.get("s1"), None, "no crash is invented");
 
@@ -901,18 +901,18 @@ fn distill_rejects_zombie_publish_with_stale_token() {
     // The thief (token 2) published first; the fenced-out zombie's later
     // token-1 record must be discarded, not trusted.
     let records = vec![done("s", "2", 2), done("s", "1", 1)];
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     assert_eq!(view.done["s"].payload, "2");
     assert_eq!(view.done["s"].token, 2);
     assert_eq!(view.superseded, 1);
-    assert_eq!(view.quarantined, 0);
+    assert!(view.quarantined.is_empty());
 }
 
 #[test]
 fn distill_prefers_higher_token_regardless_of_order() {
     // Zombie landed first, thief second: higher token still wins.
     let records = vec![done("s", "1", 1), done("s", "2", 2)];
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     assert_eq!(view.done["s"].payload, "2");
     assert_eq!(view.superseded, 1);
 }
@@ -922,7 +922,7 @@ fn distill_equal_tokens_last_valid_wins() {
     // Two stealers that raced to the same token: deterministic work makes
     // the payloads identical in practice, but the rule is last-valid-wins.
     let records = vec![done("s", "first", 1), done("s", "second", 1)];
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     assert_eq!(view.done["s"].payload, "second");
     assert_eq!(view.superseded, 1);
 }
@@ -937,8 +937,11 @@ fn distill_quarantines_checksum_mismatch() {
         *checksum ^= 1;
     }
     let good = done("s", "honest", 1);
-    let view = distill_records(&[bad.clone(), good], Some(&qpath));
-    assert_eq!(view.quarantined, 1);
+    let records = [bad.clone(), good];
+    let view = distill_records(&records);
+    assert_eq!(view.quarantined, [0]);
+    assert!(!qpath.exists(), "distillation writes nothing");
+    report_distillation(&qpath, &records, &view);
     assert_eq!(
         view.done["s"].payload, "honest",
         "the valid record must still win"
@@ -952,9 +955,9 @@ fn distill_quarantines_checksum_mismatch() {
     );
 
     // Quarantined-only shards stay unsettled (they must re-execute).
-    let view = distill_records(&[bad], None);
+    let view = distill_records(&[bad]);
     assert!(view.done.is_empty());
-    assert_eq!(view.quarantined, 1);
+    assert_eq!(view.quarantined, [0]);
 }
 
 #[test]
@@ -971,7 +974,7 @@ fn distill_tracks_unmatched_starts_as_crashes() {
         },
         done("fine", "ok", 1),
     ];
-    let view = distill_records(&records, None);
+    let view = distill_records(&records);
     assert_eq!(view.crash_counts.get("dead"), Some(&2));
     assert_eq!(view.crash_counts.get("fine"), None);
 }

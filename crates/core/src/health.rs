@@ -182,15 +182,6 @@ impl HealthTable {
             .unwrap_or(0)
     }
 
-    /// Retired pages within `channel`, counted without materializing the
-    /// sorted page list.
-    pub fn retired_count_in_channel(&self, channel: usize) -> usize {
-        self.retired
-            .iter()
-            .filter(|&&(ch, _, _)| ch == channel)
-            .count()
-    }
-
     fn idx(&self, p: PairId) -> usize {
         assert!(p.channel < self.channels && p.pair < self.pairs_per_channel);
         p.channel * self.pairs_per_channel + p.pair
@@ -623,13 +614,6 @@ mod tests {
         // Migrated pair's frozen counter no longer counts as pressure.
         assert_eq!(h.active_counter_sum(), 2);
         assert_eq!(h.max_active_counter_in_channel(1), 1);
-
-        h.retire_page(1, 4, 9);
-        h.retire_page(2, 6, 3);
-        h.retire_page(2, 7, 3);
-        assert_eq!(h.retired_count_in_channel(1), 1);
-        assert_eq!(h.retired_count_in_channel(2), 2);
-        assert_eq!(h.retired_count_in_channel(0), 0);
     }
 
     #[test]

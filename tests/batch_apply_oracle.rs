@@ -377,3 +377,73 @@ fn page_ledger_keeps_addresses_that_differ_only_in_high_bits() {
     ]);
     check_distinct_pages(wide_banks, &pages);
 }
+
+#[test]
+fn page_ledger_keeps_every_page_across_resizes() {
+    // Every page count from 1 to 100 crosses each growth point of a small
+    // ledger; 12,000 pages make one node's ledger large.
+    let geom = Geometry::default();
+    let page = |i: u32| (i % 8, (i / 8) % 16, i / 128);
+    for n in (1..=100).chain([12_000]) {
+        let pages: Vec<_> = (0..n).map(page).collect();
+        check_distinct_pages(geom, &pages);
+    }
+}
+
+#[test]
+fn page_ledger_keeps_addresses_that_differ_in_one_field() {
+    let geom = Geometry {
+        channels: 64,
+        banks: 64,
+        threshold: 255,
+    };
+    let mut pages = vec![(0, 0, 0)];
+    for i in 1..64 {
+        pages.extend([(i, 0, 0), (0, i, 0), (0, 0, i)]);
+    }
+    // Channel and bank swapped, and a row equal to the bank.
+    pages.extend([(1, 2, 7), (2, 1, 7), (1, 7, 2)]);
+    check_distinct_pages(geom, &pages);
+}
+
+#[test]
+fn page_ledger_keeps_hostile_rows_apart() {
+    // Rows that agree in their low bits, as ids crafted against a hash
+    // that keeps only low bits would.
+    let geom = Geometry::default();
+    let mut pages: Vec<(u32, u32, u32)> = (0..4096).map(|i| (3, 5, i << 20)).collect();
+    pages.extend((1..32).map(|shift| (3, 5, 1 << shift | 1)));
+    check_distinct_pages(geom, &pages);
+}
+
+#[test]
+fn batch_apply_matches_line_by_line_with_ten_thousand_pages_on_one_node() {
+    // Node ids come from `0..1` plus the two extremes, so node 0 takes
+    // most of 24,000 events over about 640k page addresses.
+    let state = line_by_line(
+        Geometry::default(),
+        &stream(
+            300,
+            &Mixture {
+                geom: Geometry::default(),
+                nodes: 1,
+                rows: 5_000,
+                max_count: 2,
+            },
+            24_000,
+        ),
+    )
+    .0;
+    let pages = state.snapshot(0).nodes[0].pages.len();
+    assert!(pages >= 10_000, "{pages} pages on node 0");
+    check(
+        300,
+        &Mixture {
+            geom: Geometry::default(),
+            nodes: 1,
+            rows: 5_000,
+            max_count: 2,
+        },
+        24_000,
+    );
+}
