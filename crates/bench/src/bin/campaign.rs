@@ -10,23 +10,20 @@
 //! * silent corruption — a read returning wrong data as if clean — never
 //!   happens.
 //!
-//! The work plan itself lives in `eccparity_bench::faultcampaign` so the
-//! `eccparity-worker` binary can rebuild the identical shard list. With
-//! `ECC_PARITY_WORKERS` >= 2 this binary acts as the coordinator of a
-//! multi-process fleet (see `eccparity_bench::distrib`); otherwise it runs
-//! the shards in-process exactly as before. Either way stdout is
-//! byte-identical.
+//! The work plan lives in `eccparity_bench::faultcampaign`; this binary
+//! runs its shards in-process under `eccparity_bench::supervisor`, so a
+//! killed campaign resumes from its journal with `ECC_PARITY_RESUME=1`
+//! and prints what an uninterrupted run prints.
 
-use eccparity_bench::distrib::supervise_distributed;
 use eccparity_bench::faultcampaign::{self, merge, Tally};
 use eccparity_bench::print_table;
-use eccparity_bench::supervisor::SupervisorConfig;
+use eccparity_bench::supervisor::{supervise, SupervisorConfig};
 
 fn main() {
     let run_meter = eccparity_bench::RunMeter::start(faultcampaign::CAMPAIGN_NAME);
     let plan = faultcampaign::plan();
     let sup_cfg = SupervisorConfig::from_env(faultcampaign::CAMPAIGN_NAME, plan.config_key());
-    let supervised = supervise_distributed(&sup_cfg, plan.shards);
+    let supervised = supervise(&sup_cfg, plan.shards);
     supervised.exit_if_incomplete();
 
     let mut tallies = vec![Tally::default(); plan.groups.len()];

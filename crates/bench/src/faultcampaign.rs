@@ -1,14 +1,11 @@
-//! The fault-injection campaign's work plan, shared by the `campaign`
-//! binary (coordinator / single-process run) and the `eccparity-worker`
-//! binary (distributed execution).
+//! The fault-injection campaign's work plan, run by the `campaign`
+//! binary.
 //!
-//! A worker process cannot receive closures from the coordinator, so both
-//! sides rebuild the identical shard list from the same environment
-//! (`ECC_PARITY_FAST` trial geometry) via [`plan`]. Shard names, seeds,
-//! and the config key are all pure functions of that geometry, which is
-//! what makes the distributed run's journal interchangeable with a
-//! single-process one: any worker, or the coordinator itself, can execute
-//! any shard and publish a byte-identical payload.
+//! [`plan`] builds the shard list from the environment
+//! (`ECC_PARITY_FAST` trial geometry). Shard names, seeds and the config
+//! key are pure functions of that geometry, so a resumed run rebuilds the
+//! identical list and matches the journal a killed run left: any shard
+//! that re-executes publishes a byte-identical payload.
 
 use crate::harness::fast_mode;
 use crate::supervisor::Shard;
@@ -21,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Campaign name: journal stem, summary label, worker `--campaign` value.
+/// Campaign name: journal stem and summary label.
 pub const CAMPAIGN_NAME: &str = "campaign";
 
 /// Per-group outcome counts of the fault-injection campaign.
@@ -163,8 +160,8 @@ pub struct CampaignPlan {
 }
 
 impl CampaignPlan {
-    /// Work-list identity for the journal header: a resume (or a worker)
-    /// against a journal with a different key refuses it.
+    /// Work-list identity for the journal header: a resume against a
+    /// journal with a different key refuses it.
     pub fn config_key(&self) -> String {
         format!(
             "campaign-v1|trials={}|chunk={}|groups={}",
@@ -179,7 +176,8 @@ impl CampaignPlan {
 /// mode, single/double) group is cut into trial chunks small enough that
 /// a SIGKILL loses at most one chunk's work; seeds depend only on the
 /// trial index, so the chunked tallies sum to exactly what a monolithic
-/// loop would produce, no matter which process runs which chunk.
+/// loop would produce, whichever run of a resumed campaign executes a
+/// chunk.
 pub fn plan() -> CampaignPlan {
     let trials: u64 = if fast_mode() { 40 } else { 150 };
     let chunk: u64 = if fast_mode() { 10 } else { 25 };

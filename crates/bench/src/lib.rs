@@ -10,16 +10,13 @@
 
 pub mod cache;
 pub mod chaos;
-pub mod distrib;
 pub mod faultcampaign;
 pub mod harness;
 pub mod hash;
-pub mod lease;
 pub mod provenance;
 pub mod supervisor;
 
 pub use cache::{cached_run, print_cache_summary, RunCache, MODEL_VERSION};
-pub use distrib::{run_worker, supervise_distributed};
 pub use harness::*;
 pub use provenance::RunMeter;
 pub use supervisor::{supervise, OutcomeClass, Shard, SupervisedRun, SupervisorConfig};

@@ -38,12 +38,11 @@
 //!    `poison_threshold` starts with no completion) is classified
 //!    `Poisoned` and skipped instead of crash-looping the campaign.
 //!
-//! This is the campaign's one scheduler. A distributed campaign
-//! ([`crate::distrib`]) is the same run with a fleet phase after the
-//! journal's first publish: worker processes run their claimed shards
-//! through this module's attempt scheduler, and the shards they leave
-//! unsettled run here in-process. Resume distillation and the run's
-//! closing tallies are shared the same way.
+//! This is the campaigns' one scheduler, and it runs every shard
+//! in-process. A process death — a `kill -9`, an abort, an OOM kill — is
+//! survived by the journal: the next `ECC_PARITY_RESUME=1` run replays it,
+//! and the crash-loop guard (4.) keeps a shard that kills every run from
+//! blocking the rest.
 //!
 //! The chaos layer ([`crate::chaos`], `ECC_PARITY_CHAOS=<seed>`)
 //! deterministically injects infrastructure faults — corrupt cache
@@ -109,11 +108,11 @@ pub enum JournalRecord {
         checksum: u64,
         /// Serialized shard result (empty for failure classes).
         payload: String,
-        /// Fencing token of the lease under which the record was
-        /// published (0 = single-process supervision, no lease). When two
-        /// workers publish records for the same shard — a zombie whose
-        /// lease was stolen plus the thief — the higher token wins and the
-        /// lower is discarded as superseded (see [`distill_records`]).
+        /// Fencing token. This build always writes 0; journals from
+        /// builds that ran multi-process fleets carry higher tokens. When
+        /// a journal holds two records for one shard the higher token
+        /// wins and the lower is discarded as superseded (see
+        /// [`distill_records`]).
         token: u64,
     },
     /// Every shard reached a terminal class; the campaign finished.
@@ -459,11 +458,10 @@ pub fn replay_lines(bytes: &mut [u8], mut visit: impl FnMut(RecordRef<'_>, u64))
     damaged
 }
 
-/// Read a journal file with [`replay_lines`], tolerating damage anywhere.
-/// A lone appending writer can only tear the final line, but a
-/// distributed campaign has many workers appending concurrently, so a torn
-/// or interleaved line mid-file must not cost the records after it.
-/// Returns the records and whether any damaged line was skipped; a missing
+/// Read a journal file with [`replay_lines`], tolerating damage anywhere:
+/// a crash tears the final line, and a stray writer (or an older build's
+/// concurrent appenders) can damage one mid-file, which must not cost the
+/// records after it. Returns the records and whether any damaged line was skipped; a missing
 /// or unreadable file has neither.
 pub fn replay_journal(path: &Path) -> (Vec<JournalRecord>, bool) {
     let Ok(mut bytes) = std::fs::read(path) else {
@@ -475,13 +473,10 @@ pub fn replay_journal(path: &Path) -> (Vec<JournalRecord>, bool) {
 }
 
 /// Append one record to a journal as a single `O_APPEND` line write plus
-/// fsync. Every record after a run's first publish goes this way, in
-/// single-process supervision and in each worker of a distributed
-/// campaign alike; a one-line append cannot clobber a concurrent
-/// writer's records. [`replay_journal`]'s skip-damaged-lines tolerance
-/// covers a line torn by a crash and the residual risk of two appends
-/// interleaving bytes.
-pub fn append_record(path: &Path, rec: &JournalRecord) -> std::io::Result<()> {
+/// fsync. Every record after a run's first publish goes this way;
+/// [`replay_journal`]'s skip-damaged-lines tolerance covers a line torn by
+/// a crash.
+fn append_record(path: &Path, rec: &JournalRecord) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
@@ -684,9 +679,7 @@ impl SupervisorConfig {
         }
     }
 
-    /// Filesystem-safe stem derived from the campaign name; every
-    /// checkpoint-directory artifact (journal, lease dir, progress stamp)
-    /// shares it so coordinator and workers agree on paths.
+    /// Filesystem-safe stem derived from the campaign name.
     fn stem(&self) -> String {
         self.campaign
             .chars()
@@ -701,24 +694,10 @@ impl SupervisorConfig {
     }
 
     /// The journal file this configuration reads and writes, if
-    /// journaling is enabled. Worker processes of a distributed campaign
-    /// attach to the same path the coordinator publishes.
+    /// journaling is enabled.
     pub fn journal_path(&self) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
         Some(dir.join(format!("{}.journal.jsonl", self.stem())))
-    }
-
-    /// Directory of per-shard lease files for distributed workers.
-    pub fn lease_dir(&self) -> Option<PathBuf> {
-        let dir = self.dir.as_ref()?;
-        Some(dir.join(format!("{}.leases", self.stem())))
-    }
-
-    /// Live progress stamp (`eccparity-progress-v1`) the coordinator
-    /// republishes while a distributed campaign runs.
-    pub fn progress_path(&self) -> Option<PathBuf> {
-        let dir = self.dir.as_ref()?;
-        Some(dir.join(format!("{}.progress.json", self.stem())))
     }
 }
 
@@ -890,9 +869,9 @@ impl<T> SupervisedRun<T> {
 /// records.
 #[derive(Debug, Clone)]
 pub struct DoneRecord {
-    /// Terminal classification the publishing worker recorded.
+    /// Terminal classification the record carries.
     pub class: OutcomeClass,
-    /// Attempts the publishing worker consumed.
+    /// Attempts the run that published it consumed.
     pub attempts: u32,
     /// Wall time of the deciding attempt, milliseconds.
     pub wall_ms: u64,
@@ -905,9 +884,9 @@ pub struct DoneRecord {
 }
 
 /// A journal's records distilled into per-shard terminal state, tolerating
-/// everything a fleet of crash-prone workers can leave behind: duplicate
-/// done-records for one shard, zombie publishes from a superseded fencing
-/// token, and payloads that fail their checksum.
+/// duplicate done-records for one shard (including the superseded fencing
+/// tokens of journals that older builds' worker fleets wrote) and payloads
+/// that fail their checksum.
 #[derive(Debug, Default)]
 pub struct JournalView {
     /// Shard name -> winning terminal record (any class). The winner among
@@ -930,9 +909,8 @@ pub struct JournalView {
 /// last-valid-wins). A record whose payload fails its FNV-1a checksum is
 /// never trusted, and is listed in [`JournalView::quarantined`].
 ///
-/// Distillation writes and counts nothing: workers and the fleet phase
-/// distill the same journal on every loop. The journal's owner reports
-/// what a distillation found once, with [`report_distillation`].
+/// Distillation writes and counts nothing; a resume reports what it found
+/// once, with [`report_distillation`].
 pub fn distill_records(records: &[JournalRecord]) -> JournalView {
     let mut view = JournalView::default();
     for (i, rec) in records.iter().enumerate() {
@@ -969,8 +947,6 @@ pub fn distill_records(records: &[JournalRecord]) -> JournalView {
                 };
                 match view.done.get_mut(shard) {
                     Some(existing) if existing.token > incoming.token => {
-                        // Zombie publish from a stolen lease: the thief's
-                        // higher-token record already landed.
                         view.superseded += 1;
                     }
                     Some(existing) => {
@@ -989,13 +965,11 @@ pub fn distill_records(records: &[JournalRecord]) -> JournalView {
     view
 }
 
-/// The journal owner's report of `view`, a distillation of `records`:
-/// superseded duplicates are counted in `supervisor.journal.superseded`,
-/// and each quarantined record is counted in
-/// `supervisor.journal.quarantined` and appended to the sidecar
-/// `quarantine` as one JSON line for post-mortems. The owner calls this
-/// once per set of records, on resume and after the fleet phase, so each
-/// record lands in the sidecar once.
+/// The report of `view`, a distillation of `records`: superseded
+/// duplicates are counted in `supervisor.journal.superseded`, and each
+/// quarantined record is counted in `supervisor.journal.quarantined` and
+/// appended to the sidecar `quarantine` as one JSON line for post-mortems.
+/// A resume calls this once, so each record lands in the sidecar once.
 pub fn report_distillation(quarantine: &Path, records: &[JournalRecord], view: &JournalView) {
     obs::counter!("supervisor.journal.superseded").add(view.superseded);
     for &i in &view.quarantined {
@@ -1029,11 +1003,7 @@ pub fn quarantine_path(journal: &Path) -> PathBuf {
 }
 
 /// Does the journal's first record identify exactly this campaign?
-pub fn header_matches(
-    records: &[JournalRecord],
-    cfg: &SupervisorConfig,
-    total_shards: u64,
-) -> bool {
+fn header_matches(records: &[JournalRecord], cfg: &SupervisorConfig, total_shards: u64) -> bool {
     matches!(
         records.first(),
         Some(JournalRecord::Header { schema, campaign, config_key, total_shards: t })
@@ -1056,14 +1026,14 @@ struct ResumeState {
     records: Vec<JournalRecord>,
 }
 
-/// Distill a journal for a resumed run, single-process or distributed
-/// alike. Each shard's winner is the one [`distill_records`] picks; a
-/// successful winner is not re-executed. The continued journal keeps
-/// every record in file order but the `ShardDone`s that do not carry a
-/// successful winner (a prior run's terminal failure, a superseded
-/// duplicate, a quarantined or unclassifiable record), each dropped with
-/// the `ShardStart` it closed, so crash counts do not change and a shard
-/// re-executed now is the only record of it on the next resume.
+/// Distill a journal for a resumed run. Each shard's winner is the one
+/// [`distill_records`] picks; a successful winner is not re-executed. The
+/// continued journal keeps every record in file order but the `ShardDone`s
+/// that do not carry a successful winner (a prior run's terminal failure,
+/// a superseded duplicate, a quarantined or unclassifiable record), each
+/// dropped with the `ShardStart` it closed, so crash counts do not change
+/// and a shard re-executed now is the only record of it on the next
+/// resume.
 fn load_resume_state(
     cfg: &SupervisorConfig,
     path: &Path,
@@ -1127,13 +1097,13 @@ fn load_resume_state(
 // ---- attempts --------------------------------------------------------------
 
 /// The failure ledger (`cfg.failures_path`, schema [`FAILURES_SCHEMA`]).
-pub(crate) struct Ledger {
+struct Ledger {
     sink: Option<obs::jsonl::JsonlSink>,
 }
 
 impl Ledger {
     /// Create (truncating) the ledger file, if `cfg` names one.
-    pub(crate) fn open(cfg: &SupervisorConfig) -> Ledger {
+    fn open(cfg: &SupervisorConfig) -> Ledger {
         let sink = cfg.failures_path.as_ref().and_then(|p| {
             obs::jsonl::JsonlSink::create(p, FAILURES_SCHEMA)
                 .map_err(|e| {
@@ -1205,19 +1175,19 @@ impl Ledger {
 }
 
 /// One shard's attempt chain, ended.
-pub(crate) struct Settled<T> {
+struct Settled<T> {
     /// Index of the shard in the slice [`run_attempts`] was given.
-    pub(crate) idx: usize,
-    pub(crate) class: OutcomeClass,
-    pub(crate) attempts: u32,
+    idx: usize,
+    class: OutcomeClass,
+    attempts: u32,
     /// Wall time of the deciding attempt, milliseconds.
-    pub(crate) wall_ms: u64,
+    wall_ms: u64,
     /// The result, for a success class.
-    pub(crate) result: Option<T>,
+    result: Option<T>,
 }
 
 /// What [`run_attempts`] reports to the code journaling around it.
-pub(crate) enum AttemptEvent<T> {
+enum AttemptEvent<T> {
     /// The shard's first attempt is about to launch.
     Started(usize),
     /// The shard's attempt chain ended.
@@ -1255,7 +1225,7 @@ struct Pending {
 /// The loop sleeps until an attempt reports, the earliest watchdog
 /// deadline, or — with a slot free — the earliest backoff expiry,
 /// whichever comes first.
-pub(crate) fn run_attempts<T: Send + 'static>(
+fn run_attempts<T: Send + 'static>(
     cfg: &SupervisorConfig,
     shards: &[Shard<T>],
     queue: Vec<usize>,
@@ -1384,17 +1354,16 @@ pub(crate) fn run_attempts<T: Send + 'static>(
     }
 }
 
-/// The `ShardDone` record of a settled shard, published under fencing
-/// `token`. The payload is the serialized result: empty for a failure, and
-/// for a result that does not serialize (the run still has the result,
-/// but the checkpoint cannot cover the shard).
-pub(crate) fn done_record<T: Serialize>(
+/// The `ShardDone` record of a settled shard, at fencing token 0. The
+/// payload is the serialized result: empty for a failure, and for a result
+/// that does not serialize (the run still has the result, but the
+/// checkpoint cannot cover the shard).
+fn done_record<T: Serialize>(
     shard: &str,
     class: OutcomeClass,
     attempts: u32,
     wall_ms: u64,
     result: Option<&T>,
-    token: u64,
 ) -> JournalRecord {
     let payload = result.map_or_else(String::new, |v| {
         serde_json::to_string(v).unwrap_or_else(|e| {
@@ -1409,7 +1378,7 @@ pub(crate) fn done_record<T: Serialize>(
         wall_ms,
         checksum: fnv1a64(payload.as_bytes()),
         payload,
-        token,
+        token: 0,
     }
 }
 
@@ -1420,25 +1389,6 @@ pub(crate) fn done_record<T: Serialize>(
 ///
 /// Panics if two shards share a name (the journal keys by name).
 pub fn supervise<T>(cfg: &SupervisorConfig, shards: Vec<Shard<T>>) -> SupervisedRun<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-{
-    supervise_with(cfg, shards, None)
-}
-
-/// The worker-process phase of a distributed campaign (see
-/// [`crate::distrib`]): other processes append to the journal while it
-/// runs, and it returns the journal's records as it leaves them.
-pub(crate) type Fleet<'a, T> = &'a mut dyn FnMut(&[Shard<T>]) -> Vec<JournalRecord>;
-
-/// [`supervise`], with `fleet` (if any) between the journal's first
-/// publish and the in-process scheduler: the shards the fleet settled are
-/// taken from the journal it leaves, and the scheduler runs the rest.
-pub(crate) fn supervise_with<T>(
-    cfg: &SupervisorConfig,
-    shards: Vec<Shard<T>>,
-    fleet: Option<Fleet<'_, T>>,
-) -> SupervisedRun<T>
 where
     T: Serialize + Deserialize + Send + 'static,
 {
@@ -1460,7 +1410,7 @@ where
         (Some(path), true) if path.exists() => load_resume_state(cfg, path, total),
         _ => None,
     };
-    let (done, mut crash_counts, records) = match resume_state {
+    let (done, crash_counts, records) = match resume_state {
         Some(s) => (s.done, s.crash_counts, s.records),
         None => (
             HashMap::new(),
@@ -1474,58 +1424,33 @@ where
         ),
     };
     // Publish the fresh header, or the resumed records, before any work
-    // runs; every later record is an append. Workers read that publish and
-    // append beside the coordinator, so under a fleet no persist is
-    // chaos-failed: a lost publish would hide the header from them, and a
-    // republish would replace their records.
-    let chaos = if fleet.is_some() {
-        Chaos::off()
-    } else {
-        cfg.chaos
-    };
-    let mut journal = Journal::start(journal_path.clone(), records, chaos);
-    let fleet_done = fleet.map(|fleet| {
-        journal.records = fleet(&shards);
-        let view = distill_records(&journal.records);
-        if let Some(path) = &journal_path {
-            report_distillation(&quarantine_path(path), &journal.records, &view);
-        }
-        crash_counts = view.crash_counts;
-        view.done
-    });
+    // runs; every later record is an append.
+    let mut journal = Journal::start(journal_path, records, cfg.chaos);
 
     let mut ledger = Ledger::open(cfg);
     let mut outcomes: Vec<Option<ShardOutcome<T>>> = shards.iter().map(|_| None).collect();
     let mut queue = Vec::new();
 
-    // Settle resumed, fleet-settled and poisoned shards; queue the rest.
+    // Settle resumed and poisoned shards; queue the rest. Resume state
+    // holds successes only.
     for (idx, shard) in shards.iter().enumerate() {
-        let settled = done.get(&shard.name).map(|rec| (rec, true)).or_else(|| {
-            let rec = fleet_done.as_ref()?.get(&shard.name)?;
-            Some((rec, false))
-        });
-        if let Some((rec, resumed)) = settled {
-            let result = if rec.class.is_success() {
-                serde_json::from_str::<T>(&rec.payload).ok()
-            } else {
-                None
-            };
-            if result.is_some() || !rec.class.is_success() {
+        if let Some(rec) = done.get(&shard.name) {
+            if let Ok(result) = serde_json::from_str::<T>(&rec.payload) {
                 ledger.outcome(
                     &cfg.campaign,
                     &shard.name,
                     rec.class,
                     rec.attempts,
-                    resumed,
+                    true,
                     rec.wall_ms,
                 );
                 outcomes[idx] = Some(ShardOutcome {
                     name: shard.name.clone(),
                     class: rec.class,
-                    attempts: if resumed { 0 } else { rec.attempts },
-                    resumed,
+                    attempts: 0,
+                    resumed: true,
                     wall_ms: rec.wall_ms,
-                    result,
+                    result: Some(result),
                 });
                 continue;
             }
@@ -1546,7 +1471,7 @@ where
             );
             let class = OutcomeClass::Poisoned;
             ledger.outcome(&cfg.campaign, &shard.name, class, 0, false, 0);
-            journal.append(done_record::<T>(&shard.name, class, 0, 0, None, 0));
+            journal.append(done_record::<T>(&shard.name, class, 0, 0, None));
             outcomes[idx] = Some(ShardOutcome {
                 name: shard.name.clone(),
                 class,
@@ -1572,7 +1497,6 @@ where
                 s.attempts,
                 s.wall_ms,
                 s.result.as_ref(),
-                0,
             ));
             outcomes[s.idx] = Some(ShardOutcome {
                 name: name.clone(),

@@ -9,12 +9,12 @@
 use eccparity_bench::chaos::Chaos;
 use eccparity_bench::hash::fnv1a64;
 use eccparity_bench::supervisor::{
-    distill_records, replay_journal, report_distillation, supervise, JournalRecord, OutcomeClass,
-    Shard, SupervisorConfig, JOURNAL_SCHEMA,
+    distill_records, quarantine_path, replay_journal, report_distillation, supervise,
+    JournalRecord, OutcomeClass, Shard, SupervisorConfig, JOURNAL_SCHEMA,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Fresh private temp dir per test (pid + counter; no tempfile dep).
@@ -43,6 +43,14 @@ fn test_cfg(campaign: &str, dir: &Path) -> SupervisorConfig {
         chaos: Chaos::off(),
         failures_path: None,
     }
+}
+
+/// Held by the tests that assert on the process-wide
+/// `supervisor.journal.{quarantined,superseded}` counters or move them,
+/// so that no other test moves them in between.
+fn distill_counters() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn journal_path(dir: &Path, campaign: &str) -> PathBuf {
@@ -423,6 +431,7 @@ fn two_crashes_is_below_the_poison_threshold() {
 
 #[test]
 fn corrupt_journal_payload_reexecutes_that_shard() {
+    let _counters = distill_counters();
     let dir = temp_dir();
     let cfg = test_cfg("corrupt", &dir);
     let executed = Arc::new(AtomicU32::new(0));
@@ -808,8 +817,8 @@ fn resume_skips_a_non_utf8_line_and_replays_the_rest() {
 
 #[test]
 fn a_reexecuted_shard_beats_a_lease_stamped_failure_on_the_next_resume() {
-    // A distributed run's journal: s0 completed under lease token 1, s1
-    // timed out under token 2.
+    // A journal an older build's worker fleet left: s0 completed under
+    // lease token 1, s1 timed out under token 2.
     let dir = temp_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let mut timed_out = done("s1", "", 2);
@@ -858,12 +867,99 @@ fn a_reexecuted_shard_beats_a_lease_stamped_failure_on_the_next_resume() {
     assert_eq!(second.into_results(), [7, 8]);
 }
 
-// ---- multi-writer journal hardening (distributed campaigns) ----------------
+/// `records` as journal text, one serde line each.
+fn journal_text(records: &[JournalRecord]) -> String {
+    records
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap() + "\n")
+        .collect()
+}
+
+#[test]
+fn a_corrupt_record_reaches_the_quarantine_sidecar_once() {
+    obs::metrics::set_enabled(true);
+    let _counters = distill_counters();
+    let dir = temp_dir();
+    let mut cfg = test_cfg("quarantine_once", &dir);
+    let executed = Arc::new(AtomicU32::new(0));
+    let want = supervise(&cfg, counting_shards(4, &executed)).into_results();
+    // A ShardDone for s0 whose payload fails its checksum, after the
+    // finished run's records.
+    let path = journal_path(&dir, "quarantine_once");
+    let mut corrupt = done("s0", "7", 0);
+    if let JournalRecord::ShardDone { checksum, .. } = &mut corrupt {
+        *checksum ^= 1;
+    }
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str(&journal_text(&[corrupt.clone()]));
+    std::fs::write(&path, text).unwrap();
+
+    let quarantined = obs::counter!("supervisor.journal.quarantined");
+    let before = quarantined.get();
+    cfg.resume = true;
+    for _ in 0..2 {
+        executed.store(0, Ordering::Relaxed);
+        let run = supervise(&cfg, counting_shards(4, &executed));
+        assert_eq!(executed.load(Ordering::Relaxed), 0, "s0's good record wins");
+        assert_eq!(run.into_results(), want);
+    }
+    // The first resume quarantines the record and drops it from the
+    // journal it republishes, so the second finds nothing to quarantine.
+    let sidecar = std::fs::read_to_string(quarantine_path(&path)).unwrap();
+    assert_eq!(sidecar.lines().count(), 1, "{sidecar}");
+    assert_eq!(
+        serde_json::from_str::<JournalRecord>(sidecar.trim()).unwrap(),
+        corrupt
+    );
+    assert_eq!(quarantined.get() - before, 1);
+}
+
+#[test]
+fn a_higher_token_done_beats_a_stale_one_on_resume() {
+    // The distill half of a fenced-out zombie publish, as journals from
+    // worker fleets hold it: the token-2 record landed first, then a late
+    // token-1 record for the same shard with another payload.
+    obs::metrics::set_enabled(true);
+    let _counters = distill_counters();
+    let dir = temp_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let start = JournalRecord::ShardStart {
+        shard: "s0".to_string(),
+    };
+    let records = [
+        JournalRecord::Header {
+            schema: JOURNAL_SCHEMA.to_string(),
+            campaign: "superseded".to_string(),
+            config_key: "test-v1".to_string(),
+            total_shards: 1,
+        },
+        start.clone(),
+        done("s0", "7", 2),
+        start,
+        done("s0", "666", 1),
+    ];
+    let path = journal_path(&dir, "superseded");
+    std::fs::write(&path, journal_text(&records)).unwrap();
+
+    let superseded = obs::counter!("supervisor.journal.superseded");
+    let before = superseded.get();
+    let mut cfg = test_cfg("superseded", &dir);
+    cfg.resume = true;
+    let executed = Arc::new(AtomicU32::new(0));
+    let run = supervise(&cfg, counting_shards(1, &executed));
+    assert_eq!(executed.load(Ordering::Relaxed), 0, "nothing re-executes");
+    assert!(run.outcomes[0].resumed);
+    assert_eq!(run.into_results(), [7], "the token-2 result wins");
+    assert_eq!(superseded.get() - before, 1);
+    assert!(!quarantine_path(&path).exists());
+}
+
+// ---- journal damage and duplicate records ----------------------------------
 
 #[test]
 fn replay_keeps_records_after_interior_damage() {
-    // A fleet of appending workers can interleave or tear a line in the
-    // *middle* of the journal; everything after it must still replay.
+    // A stray writer can interleave or tear a line in the *middle* of the
+    // journal; everything after it must still replay.
     let dir = temp_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("interior.journal.jsonl");
@@ -898,8 +994,8 @@ fn done(shard: &str, payload: &str, token: u64) -> JournalRecord {
 
 #[test]
 fn distill_rejects_zombie_publish_with_stale_token() {
-    // The thief (token 2) published first; the fenced-out zombie's later
-    // token-1 record must be discarded, not trusted.
+    // The token-2 record landed first; the later token-1 record for the
+    // same shard must be discarded, not trusted.
     let records = vec![done("s", "2", 2), done("s", "1", 1)];
     let view = distill_records(&records);
     assert_eq!(view.done["s"].payload, "2");
@@ -910,7 +1006,7 @@ fn distill_rejects_zombie_publish_with_stale_token() {
 
 #[test]
 fn distill_prefers_higher_token_regardless_of_order() {
-    // Zombie landed first, thief second: higher token still wins.
+    // The token-1 record landed first: the higher token still wins.
     let records = vec![done("s", "1", 1), done("s", "2", 2)];
     let view = distill_records(&records);
     assert_eq!(view.done["s"].payload, "2");
@@ -919,8 +1015,8 @@ fn distill_prefers_higher_token_regardless_of_order() {
 
 #[test]
 fn distill_equal_tokens_last_valid_wins() {
-    // Two stealers that raced to the same token: deterministic work makes
-    // the payloads identical in practice, but the rule is last-valid-wins.
+    // Two records at one token: deterministic work makes the payloads
+    // identical in practice, but the rule is last-valid-wins.
     let records = vec![done("s", "first", 1), done("s", "second", 1)];
     let view = distill_records(&records);
     assert_eq!(view.done["s"].payload, "second");
@@ -929,6 +1025,7 @@ fn distill_equal_tokens_last_valid_wins() {
 
 #[test]
 fn distill_quarantines_checksum_mismatch() {
+    let _counters = distill_counters();
     let dir = temp_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let qpath = dir.join("j.journal.jsonl.quarantine");

@@ -19,6 +19,10 @@
 //! 5. **Daemon metrics are named** — every `counter!` / `histogram!` /
 //!    `gauge!` name emitted under `crates/service/src` appears in
 //!    `ARCHITECTURE.md` or `docs/OPERATIONS.md`.
+//! 6. **The metrics table matches the code** — every metric name emitted
+//!    by non-comment code under `crates/*/src` and `src/` is listed in
+//!    `ARCHITECTURE.md`'s metrics table, and every name listed there is
+//!    still emitted.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -387,5 +391,92 @@ fn every_daemon_metric_is_documented() {
         undocumented.is_empty(),
         "crates/service/src emits metrics that neither ARCHITECTURE.md nor \
          docs/OPERATIONS.md names: {undocumented:?}"
+    );
+}
+
+/// The metric names of `ARCHITECTURE.md`'s metrics table: each row's one
+/// `prefix.*` joined to every backticked suffix of its metrics column. A
+/// suffix with a placeholder, such as `corrections.<name>`, stands for
+/// names made at run time and is not a name itself.
+fn tabled_metrics() -> BTreeSet<String> {
+    let doc = std::fs::read_to_string(repo_root().join("ARCHITECTURE.md")).expect("read doc");
+    let start = doc
+        .find("| Prefix | Site | Metrics |")
+        .expect("ARCHITECTURE.md has a metrics table");
+    let backticked = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
+    };
+    let mut names = BTreeSet::new();
+    for row in doc[start..]
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+    {
+        let cells: Vec<&str> = row.split('|').collect();
+        let prefix = match backticked(cells[1]).as_slice() {
+            [p] if p.ends_with(".*") => p.trim_end_matches('*').to_string(),
+            other => panic!("a metrics row needs one `prefix.*`, not {other:?}: {row}"),
+        };
+        let name_like = |s: &String| {
+            s.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'.')
+        };
+        for suffix in backticked(cells[3]).iter().filter(|s| name_like(s)) {
+            names.insert(format!("{prefix}{suffix}"));
+        }
+    }
+    names
+}
+
+/// The metric names emitted by non-comment code under `crates/*/src` and
+/// `src/`.
+fn emitted_metrics() -> BTreeSet<String> {
+    let root = repo_root();
+    let mut names = BTreeSet::new();
+    for path in source_files() {
+        let rel = path.strip_prefix(&root).expect("a repo path");
+        let mut parts = rel.components().map(|c| c.as_os_str().to_string_lossy());
+        let in_src = match parts.next().as_deref() {
+            Some("src") => true,
+            Some("crates") => parts.nth(1).as_deref() == Some("src"),
+            _ => false,
+        };
+        if !in_src {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("read source");
+        let code: String = text
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        metric_names(&code, &mut names);
+    }
+    names
+}
+
+#[test]
+fn metrics_table_matches_the_code() {
+    let emitted = emitted_metrics();
+    let tabled = tabled_metrics();
+    for names in [&emitted, &tabled] {
+        assert!(
+            names.len() >= 80 && names.contains("dram.activates"),
+            "metric extraction looks broken: {names:?}"
+        );
+    }
+    let unlisted: Vec<&String> = emitted.difference(&tabled).collect();
+    assert!(
+        unlisted.is_empty(),
+        "metrics emitted in code but missing from ARCHITECTURE.md's metrics table: {unlisted:?}"
+    );
+    let stale: Vec<&String> = tabled.difference(&emitted).collect();
+    assert!(
+        stale.is_empty(),
+        "ARCHITECTURE.md's metrics table lists metrics no code emits: {stale:?}"
     );
 }
