@@ -52,7 +52,6 @@ fn benches(c: &mut Criterion) {
 /// so this comparison stays honest as the kernels evolve.
 fn bench_gf_kernels(c: &mut Criterion) {
     use ecc_codes::gf::{Field, Gf256};
-    use ecc_codes::gfsimd;
     use ecc_codes::rs::ReedSolomon;
 
     let mut rng = StdRng::seed_from_u64(2);
@@ -98,26 +97,6 @@ fn bench_gf_kernels(c: &mut Criterion) {
                 acc ^= Gf256::ctx_mul(ctx, x);
             }
             black_box(acc)
-        })
-    });
-    // The vectorized shape: the same 65,536 fixed-multiplier products, as
-    // one bulk nibble-table pass — dispatched (AVX2/SSSE3 when the CPU has
-    // them) and pinned-scalar, so the JSON records both tiers.
-    let xs: Vec<u8> = pairs.iter().map(|&(x, _)| x).collect();
-    g.bench_function("simd_nibble_fixed_multiplier", |b| {
-        let ctx = gfsimd::NibbleCtx::new(coeff);
-        let mut dst = vec![0u8; xs.len()];
-        b.iter(|| {
-            gfsimd::mul_slice(black_box(&ctx), black_box(&xs), &mut dst);
-            black_box(dst[0])
-        })
-    });
-    g.bench_function("scalar_nibble_fixed_multiplier", |b| {
-        let ctx = gfsimd::NibbleCtx::new(coeff);
-        let mut dst = vec![0u8; xs.len()];
-        b.iter(|| {
-            gfsimd::mul_slice_scalar(black_box(&ctx), black_box(&xs), &mut dst);
-            black_box(dst[0])
         })
     });
     g.finish();
@@ -169,81 +148,27 @@ fn bench_gf_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched codec entry points against their per-line equivalents, in
-/// lines/s: the RS lane-parallel encode/syndromes, and a full codec's
-/// `encode_lines`, which is the per-line default over the table encoder.
-fn bench_batched(c: &mut Criterion) {
-    use ecc_codes::gf::Gf256;
-    use ecc_codes::rs::ReedSolomon;
-
+/// A full codec's encode throughput in lines/s: 256 cache lines through
+/// the 36-device chipkill codec, one `encode` call per line as the write
+/// path issues them.
+fn bench_lines(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     const LANES: usize = 256;
 
-    // 16 data + 2 check symbols per word: the 18-device chipkill geometry.
-    let rs: ReedSolomon<Gf256> = ReedSolomon::new(2);
-    let words: Vec<Vec<u8>> = (0..LANES)
-        .map(|_| (0..16).map(|_| rng.gen()).collect())
-        .collect();
-    let word_refs: Vec<&[u8]> = words.iter().map(|w| w.as_slice()).collect();
-    let cws: Vec<Vec<u8>> = words
-        .iter()
-        .map(|w| {
-            let mut cw = w.clone();
-            cw.extend(rs.encode(w));
-            cw
-        })
-        .collect();
-    let cw_refs: Vec<&[u8]> = cws.iter().map(|w| w.as_slice()).collect();
-
-    let mut g = c.benchmark_group("rs_batched_encode");
-    g.throughput(Throughput::Elements(LANES as u64));
-    g.bench_function("per_line", |b| {
-        b.iter(|| {
-            let out: Vec<Vec<u8>> = black_box(&word_refs).iter().map(|w| rs.encode(w)).collect();
-            black_box(out)
-        })
-    });
-    g.bench_function("batched_lanes", |b| {
-        b.iter(|| black_box(rs.encode_lines(black_box(&word_refs))))
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("rs_batched_syndromes");
-    g.throughput(Throughput::Elements(LANES as u64));
-    g.bench_function("per_line", |b| {
-        b.iter(|| {
-            let out: Vec<Vec<u8>> = black_box(&cw_refs)
-                .iter()
-                .map(|w| rs.syndromes(w))
-                .collect();
-            black_box(out)
-        })
-    });
-    g.bench_function("batched_lanes", |b| {
-        b.iter(|| black_box(rs.syndromes_lines(black_box(&cw_refs))))
-    });
-    g.finish();
-
-    // Whole-codec view: full cache lines through the 36-device chipkill
-    // codec, as the batched write path issues them.
     let ck = Chipkill36::new();
     let lines: Vec<Vec<u8>> = (0..LANES)
         .map(|_| (0..ck.data_bytes()).map(|_| rng.gen()).collect())
         .collect();
-    let line_refs: Vec<&[u8]> = lines.iter().map(|l| l.as_slice()).collect();
     let mut g = c.benchmark_group("chipkill36_encode");
     g.throughput(Throughput::Elements(LANES as u64));
     g.bench_function("per_line", |b| {
         b.iter(|| {
-            let out: Vec<_> = black_box(&line_refs).iter().map(|l| ck.encode(l)).collect();
+            let out: Vec<_> = black_box(&lines).iter().map(|l| ck.encode(l)).collect();
             black_box(out)
         })
-    });
-    g.bench_function("encode_lines", |b| {
-        b.iter(|| black_box(ck.encode_lines(black_box(&line_refs))))
     });
     g.finish();
 }
 
-criterion_group!(codecs, benches, bench_gf_kernels, bench_batched);
+criterion_group!(codecs, benches, bench_gf_kernels, bench_lines);
 criterion_main!(codecs);

@@ -27,22 +27,12 @@ fn main() {
         };
         let mut mem = ParityMemory::new(LotEcc::five(), cfg);
         let mut rng = StdRng::seed_from_u64(threshold as u64);
-        // Populate channel 0 bank 0 (data drawn in the original per-line
-        // rng order, written through the batched path) and inject a bank
-        // fault there.
-        let mut fill = vec![];
+        // Populate channel 0 bank 0 and inject a bank fault there.
         for row in 0..cfg.data_rows {
             for line in 0..cfg.lines_per_row {
                 let data: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
-                fill.push((LineLoc { bank: 0, row, line }, data));
+                mem.write(0, LineLoc { bank: 0, row, line }, &data).unwrap();
             }
-        }
-        let batch: Vec<(usize, LineLoc, &[u8])> = fill
-            .iter()
-            .map(|(loc, d)| (0, *loc, d.as_slice()))
-            .collect();
-        for res in mem.write_lines(&batch) {
-            res.unwrap();
         }
         mem.inject_fault(FaultInstance {
             chip: ChipLocation {

@@ -80,9 +80,6 @@ pub fn run_trial(seed: u64, mode: FaultMode, double: bool) -> Tally {
     let cfg = ParityConfig::small(4);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mem = ParityMemory::new(LotEcc::five(), cfg);
-    // Draw every line's contents in the original per-line order (writes
-    // consume no randomness), then push the whole fill through the batched
-    // write path so codec setup is amortized across the channel.
     let mut shadow = vec![];
     for c in 0..cfg.channels {
         for bank in 0..cfg.banks_per_channel {
@@ -90,17 +87,11 @@ pub fn run_trial(seed: u64, mode: FaultMode, double: bool) -> Tally {
                 for line in 0..cfg.lines_per_row {
                     let d: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
                     let loc = LineLoc { bank, row, line };
+                    mem.write(c, loc, &d).unwrap();
                     shadow.push((c, loc, d));
                 }
             }
         }
-    }
-    let batch: Vec<(usize, LineLoc, &[u8])> = shadow
-        .iter()
-        .map(|(c, loc, d)| (*c, *loc, d.as_slice()))
-        .collect();
-    for res in mem.write_lines(&batch) {
-        res.unwrap();
     }
     let c1 = rng.gen_range(0..cfg.channels);
     mem.inject_fault(random_fault(&mut rng, &cfg, mode, c1));

@@ -36,7 +36,9 @@
 //!    [`FAILURES_SCHEMA`]) under `ECC_PARITY_JSON_DIR`.
 //! 4. A shard that repeatedly kills the whole process (journal shows
 //!    `poison_threshold` starts with no completion) is classified
-//!    `Poisoned` and skipped instead of crash-looping the campaign.
+//!    `Poisoned` and skipped instead of crash-looping the campaign. The
+//!    verdict is journaled and holds on every later resume; only a fresh
+//!    run clears it.
 //!
 //! This is the campaigns' one scheduler, and it runs every shard
 //! in-process. A process death — a `kill -9`, an abort, an OOM kill — is
@@ -1018,7 +1020,7 @@ fn header_matches(records: &[JournalRecord], cfg: &SupervisorConfig, total_shard
 
 /// Journal replay distilled into resume state.
 struct ResumeState {
-    /// Shard name -> successfully journaled result.
+    /// Shard name -> journaled success or crash-loop poisoning.
     done: HashMap<String, DoneRecord>,
     /// Shard name -> times it was in flight at a process death.
     crash_counts: HashMap<String, u32>,
@@ -1027,13 +1029,13 @@ struct ResumeState {
 }
 
 /// Distill a journal for a resumed run. Each shard's winner is the one
-/// [`distill_records`] picks; a successful winner is not re-executed. The
-/// continued journal keeps every record in file order but the `ShardDone`s
-/// that do not carry a successful winner (a prior run's terminal failure,
-/// a superseded duplicate, a quarantined or unclassifiable record), each
-/// dropped with the `ShardStart` it closed, so crash counts do not change
-/// and a shard re-executed now is the only record of it on the next
-/// resume.
+/// [`distill_records`] picks; a successful or poisoned winner is not
+/// re-executed. The continued journal keeps every record in file order but
+/// the `ShardDone`s that do not carry such a winner (a prior run's
+/// terminal failure, a superseded duplicate, a quarantined or
+/// unclassifiable record), each dropped with the `ShardStart` it closed, so
+/// crash counts do not change and a shard re-executed now is the only
+/// record of it on the next resume.
 fn load_resume_state(
     cfg: &SupervisorConfig,
     path: &Path,
@@ -1061,8 +1063,12 @@ fn load_resume_state(
         obs::counter!("supervisor.journal_corrupt_payloads").add(view.quarantined.len() as u64);
     }
     // Terminal failures are re-executed on resume (fresh retry budget);
-    // only checksummed successes short-circuit.
-    view.done.retain(|_, rec| rec.class.is_success());
+    // only checksummed successes and the crash-loop guard's verdict
+    // short-circuit. A poisoned `ShardDone` closes no `ShardStart` of its
+    // own, so dropping it would also drop one of the crashes that poisoned
+    // the shard and let the next resume run it again.
+    view.done
+        .retain(|_, rec| rec.class.is_success() || rec.class == OutcomeClass::Poisoned);
     let mut keep = vec![true; records.len()];
     let mut open_starts: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, rec) in records.iter().enumerate() {
@@ -1432,9 +1438,10 @@ where
     let mut queue = Vec::new();
 
     // Settle resumed and poisoned shards; queue the rest. Resume state
-    // holds successes only.
+    // holds successes and poisonings only.
     for (idx, shard) in shards.iter().enumerate() {
-        if let Some(rec) = done.get(&shard.name) {
+        let prior = done.get(&shard.name);
+        if let Some(rec) = prior.filter(|rec| rec.class.is_success()) {
             if let Ok(result) = serde_json::from_str::<T>(&rec.payload) {
                 ledger.outcome(
                     &cfg.campaign,
@@ -1457,7 +1464,10 @@ where
             // A checksummed payload that no longer deserializes: re-execute.
             obs::counter!("supervisor.journal_corrupt_payloads").inc();
         }
-        if crash_counts.get(&shard.name).copied().unwrap_or(0) >= cfg.poison_threshold {
+        let poisoned_before = prior.is_some_and(|rec| rec.class == OutcomeClass::Poisoned);
+        if poisoned_before
+            || crash_counts.get(&shard.name).copied().unwrap_or(0) >= cfg.poison_threshold
+        {
             obs::counter!("supervisor.shards_poisoned").inc();
             if obs::trace::enabled() {
                 obs::trace::event(
@@ -1471,7 +1481,9 @@ where
             );
             let class = OutcomeClass::Poisoned;
             ledger.outcome(&cfg.campaign, &shard.name, class, 0, false, 0);
-            journal.append(done_record::<T>(&shard.name, class, 0, 0, None));
+            if !poisoned_before {
+                journal.append(done_record::<T>(&shard.name, class, 0, 0, None));
+            }
             outcomes[idx] = Some(ShardOutcome {
                 name: shard.name.clone(),
                 class,

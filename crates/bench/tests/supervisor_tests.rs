@@ -401,6 +401,33 @@ fn crash_looping_shard_is_poisoned_not_reexecuted() {
         1,
         "the poisoned shard must never run again"
     );
+
+    // The verdict is journaled: every later resume keeps the shard
+    // poisoned without running it (and resumes "good").
+    for resume in 2..=3 {
+        let executed = Arc::new(AtomicU32::new(0));
+        let e1 = Arc::clone(&executed);
+        let e2 = Arc::clone(&executed);
+        let run = supervise(
+            &cfg,
+            vec![
+                Shard::new("bad", move || {
+                    e1.fetch_add(1, Ordering::Relaxed);
+                    1u64
+                }),
+                Shard::new("good", move || {
+                    e2.fetch_add(1, Ordering::Relaxed);
+                    2u64
+                }),
+            ],
+        );
+        let bad = run.outcomes.iter().find(|o| o.name == "bad").unwrap();
+        assert_eq!(bad.class, OutcomeClass::Poisoned, "resume {resume}");
+        let good = run.outcomes.iter().find(|o| o.name == "good").unwrap();
+        assert!(good.resumed, "resume {resume}");
+        assert_eq!(good.result, Some(2));
+        assert_eq!(executed.load(Ordering::Relaxed), 0, "resume {resume}");
+    }
 }
 
 #[test]

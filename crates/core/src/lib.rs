@@ -30,6 +30,7 @@
 //!   lines' `ECC_old ⊕ ECC_new` accumulate in cachelines addressed by
 //!   parity line, halving parity-update traffic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;

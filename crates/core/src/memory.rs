@@ -534,6 +534,43 @@ impl<S: CorrectionSplit> ParityMemory<S> {
         Ok(corr)
     }
 
+    /// Equation (1), `ECCP_new = ECCP_old ⊕ ECC_old ⊕ ECC_new`, on the
+    /// parity of the group holding `(channel, loc)`.
+    fn fold_parity(&mut self, channel: usize, loc: &LineLoc, old_corr: &[u8], new_corr: &[u8]) {
+        let group = self.layout.group_of(channel, loc);
+        let p = self.parity(group);
+        for ((a, o), n) in p.iter_mut().zip(old_corr).zip(new_corr) {
+            *a ^= o ^ n;
+        }
+    }
+
+    /// Correct a detect-dirty line (`data`, `det`) through the parity path
+    /// and write the corrected value back. Returns false, changing nothing,
+    /// when the parity cannot correct it. The parity is kept consistent by
+    /// equation (1) with the reconstructed bits as `ECC_old`: they are what
+    /// the parity actually holds for this line, which a recompute from the
+    /// store would not be once a transient has corrupted the stored bytes.
+    fn repair_through_parity(
+        &mut self,
+        channel: usize,
+        loc: &LineLoc,
+        mut data: Vec<u8>,
+        det: &[u8],
+    ) -> bool {
+        let Ok(corr) = self.reconstruct_correction(channel, loc) else {
+            return false;
+        };
+        if self.ecc.correct(&mut data, det, &corr, None).is_err() {
+            return false;
+        }
+        let new_corr = self.ecc.correction_of(&data);
+        self.fold_parity(channel, loc, &corr, &new_corr);
+        let detection = self.ecc.detection_of(&data);
+        let idx = self.idx(loc);
+        self.store[channel][idx] = StoredLine { data, detection };
+        true
+    }
+
     /// Record a detected error per §III-C: increment the pair counter,
     /// retire the page (and its parity-sharing peer pages) below the
     /// threshold, migrate the pair at the threshold. Returns pages retired.
@@ -595,39 +632,12 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                         break;
                     }
                     let loc = LineLoc { bank, row, line };
-                    let idx = self.idx(&loc);
-                    let stored = &self.store[channel][idx];
+                    let stored = &self.store[channel][self.idx(&loc)];
                     if self.ecc.detect(&stored.data, &stored.detection) == DetectOutcome::Clean {
                         continue;
                     }
-                    let healed = match self.reconstruct_correction(channel, &loc) {
-                        Ok(corr) => {
-                            let (mut d, det) = {
-                                let s = &self.store[channel][idx];
-                                (s.data.clone(), s.detection.clone())
-                            };
-                            if self.ecc.correct(&mut d, &det, &corr, None).is_ok() {
-                                // Scrub-identity write-back: `corr` is the
-                                // line's actual parity contribution.
-                                let new_corr = self.ecc.correction_of(&d);
-                                let group = self.layout.group_of(channel, &loc);
-                                let p = self.parity(group);
-                                for ((a, o), n) in p.iter_mut().zip(&corr).zip(&new_corr) {
-                                    *a ^= o ^ n;
-                                }
-                                let fixed_det = self.ecc.detection_of(&d);
-                                self.store[channel][idx] = StoredLine {
-                                    data: d,
-                                    detection: fixed_det,
-                                };
-                                true
-                            } else {
-                                false
-                            }
-                        }
-                        Err(_) => false,
-                    };
-                    if !healed {
+                    let (data, det) = (stored.data.clone(), stored.detection.clone());
+                    if !self.repair_through_parity(channel, &loc, data, &det) {
                         self.stats.uncorrectable += 1;
                         self.log.push(MemEvent::Uncorrectable { channel, loc });
                         self.retire_group_of(channel, &loc);
@@ -745,51 +755,42 @@ impl<S: CorrectionSplit> ParityMemory<S> {
             self.ecc_lines.insert((channel, loc), new_corr);
             self.stats.ecc_line_updates += 1;
         } else {
-            // Step E, equation (1): ECCP_new = ECCP_old ^ ECC_old ^ ECC_new.
-            // ECC_old comes from the line's old value — on hardware, the
-            // inclusive LLC holds it (Fig 7); here, the true stored value.
+            // Step E, equation (1). ECC_old comes from the line's old value
+            // — on hardware, the inclusive LLC holds it (Fig 7); here, the
+            // true stored value.
             let stored = &self.store[channel][idx];
-            if self.ecc.detect(&stored.data, &stored.detection) == DetectOutcome::Clean {
-                let old_corr = self.ecc.correction_of(&stored.data);
-                let group = self.layout.group_of(channel, &loc);
-                let p = self.parity(group);
-                for ((a, o), n) in p.iter_mut().zip(&old_corr).zip(&new_corr) {
-                    *a ^= o ^ n;
-                }
-            } else {
-                // The stored bytes were corrupted in place (a transient
-                // strike) after the parity last folded this line in, so
-                // equation (1) applied to the corrupted value would drift
-                // the parity. The contribution the parity actually holds is
-                // recoverable the same way a read recovers it: parity XOR
-                // the other members' correction bits. Never drop the parity
-                // here — a lazy recompute would fold any still-corrupted
-                // sibling's bytes in as truth, and a later read of that
-                // sibling would then reconstruct correction bits matching
-                // its corrupted data: silent corruption. (Hardware never
-                // faces this: the LLC fill read would have corrected the
-                // line before the store retired.)
-                match self.reconstruct_correction(channel, &loc) {
-                    Ok(corr_in_parity) => {
-                        let group = self.layout.group_of(channel, &loc);
-                        let p = self.parity(group);
-                        for ((a, o), n) in p.iter_mut().zip(&corr_in_parity).zip(&new_corr) {
-                            *a ^= o ^ n;
+            let old_corr =
+                if self.ecc.detect(&stored.data, &stored.detection) == DetectOutcome::Clean {
+                    self.ecc.correction_of(&stored.data)
+                } else {
+                    // The stored bytes were corrupted in place (a transient
+                    // strike) after the parity last folded this line in, so
+                    // equation (1) applied to the corrupted value would drift
+                    // the parity. The contribution the parity actually holds is
+                    // recoverable the same way a read recovers it: parity XOR
+                    // the other members' correction bits. Never drop the parity
+                    // here — a lazy recompute would fold any still-corrupted
+                    // sibling's bytes in as truth, and a later read of that
+                    // sibling would then reconstruct correction bits matching
+                    // its corrupted data: silent corruption. (Hardware never
+                    // faces this: the LLC fill read would have corrected the
+                    // line before the store retired.)
+                    match self.reconstruct_correction(channel, &loc) {
+                        Ok(corr_in_parity) => corr_in_parity,
+                        Err(_) => {
+                            // Another member of the group is dirty too — beyond
+                            // the single-device envelope, the line's old
+                            // contribution is unrecoverable and the parity is
+                            // unsalvageable. Fail visibly: machine-check the
+                            // write and retire the whole group.
+                            self.stats.uncorrectable += 1;
+                            self.log.push(MemEvent::Uncorrectable { channel, loc });
+                            self.retire_group_of(channel, &loc);
+                            return Err(MemError::Uncorrectable);
                         }
                     }
-                    Err(_) => {
-                        // Another member of the group is dirty too — beyond
-                        // the single-device envelope, the line's old
-                        // contribution is unrecoverable and the parity is
-                        // unsalvageable. Fail visibly: machine-check the
-                        // write and retire the whole group.
-                        self.stats.uncorrectable += 1;
-                        self.log.push(MemEvent::Uncorrectable { channel, loc });
-                        self.retire_group_of(channel, &loc);
-                        return Err(MemError::Uncorrectable);
-                    }
-                }
-            }
+                };
+            self.fold_parity(channel, &loc, &old_corr, &new_corr);
             self.stats.parity_updates += 1;
         }
         let det = self.ecc.detection_of(new_data);
@@ -800,86 +801,13 @@ impl<S: CorrectionSplit> ParityMemory<S> {
         Ok(())
     }
 
-    /// Batched application writes: identical semantics (results, stats,
-    /// parity state, event log) to issuing [`Self::write`] per item in
-    /// order, but the codec work of the common case — healthy bank, clean
-    /// stored line — is pushed through the scheme's batched entry points
-    /// ([`CorrectionSplit::correction_of_lines`] /
-    /// [`CorrectionSplit::detection_of_lines`]), amortizing table/context
-    /// setup across the whole batch. Items on rare paths (faulty bank,
-    /// retired page, detect-dirty stored line, duplicate location within
-    /// the batch, malformed address/length) fall back to the per-line
-    /// write.
+    /// [`Self::write`] per item, in order. It adds nothing to `write`; it
+    /// stays only because the benchmark's soak replay
+    /// (`benchmark/src/soak.rs`) calls it.
     pub fn write_lines(&mut self, writes: &[(usize, LineLoc, &[u8])]) -> Vec<Result<(), MemError>> {
-        // Classification pass: no mutation yet, so stored contents are
-        // exactly what sequential writes would have seen (duplicates — where
-        // an earlier batch item changes what a later one reads — are sent
-        // down the per-line fallback).
-        let mut seen = std::collections::HashSet::new();
-        let batched: Vec<bool> = writes
-            .iter()
-            .map(|&(channel, loc, data)| {
-                self.check_loc(channel, &loc).is_ok()
-                    && data.len() == self.ecc.data_bytes()
-                    && seen.insert((channel, loc))
-                    && !self.health.is_retired(channel, loc.bank, loc.row)
-                    && !self.health.is_faulty(channel, loc.bank)
-                    && {
-                        let stored = &self.store[channel][self.idx(&loc)];
-                        self.ecc.detect(&stored.data, &stored.detection) == DetectOutcome::Clean
-                    }
-            })
-            .collect();
-        // Batched codec work, before any mutation: new-data correction and
-        // detection bits, plus the old stored lines' correction bits (the
-        // ECC_old term of equation (1)).
-        let new_refs: Vec<&[u8]> = writes
-            .iter()
-            .zip(&batched)
-            .filter(|(_, &b)| b)
-            .map(|(&(_, _, data), _)| data)
-            .collect();
-        let old_refs: Vec<&[u8]> = writes
-            .iter()
-            .zip(&batched)
-            .filter(|(_, &b)| b)
-            .map(|(&(channel, loc, _), _)| self.store[channel][self.idx(&loc)].data.as_slice())
-            .collect();
-        let new_corrs = self.ecc.correction_of_lines(&new_refs);
-        let new_dets = self.ecc.detection_of_lines(&new_refs);
-        let old_corrs = self.ecc.correction_of_lines(&old_refs);
-        // Apply pass, in order. A fallback item can retire pages mid-batch
-        // (the dirty-store machine-check path), so retirement is re-checked
-        // before each precomputed apply; nothing else a write does can
-        // invalidate the classification (writes never mark banks faulty,
-        // and duplicates were excluded above).
-        let mut k = 0usize;
         writes
             .iter()
-            .zip(&batched)
-            .map(|(&(channel, loc, data), &is_batched)| {
-                if !is_batched {
-                    return self.write(channel, loc, data);
-                }
-                let (new_corr, new_det, old_corr) = (&new_corrs[k], &new_dets[k], &old_corrs[k]);
-                k += 1;
-                if self.health.is_retired(channel, loc.bank, loc.row) {
-                    return Err(MemError::RetiredPage);
-                }
-                self.stats.writes += 1;
-                let group = self.layout.group_of(channel, &loc);
-                let p = self.parity(group);
-                for ((a, o), n) in p.iter_mut().zip(old_corr).zip(new_corr) {
-                    *a ^= o ^ n;
-                }
-                self.stats.parity_updates += 1;
-                let idx = self.idx(&loc);
-                self.store[channel][idx] = StoredLine {
-                    data: data.to_vec(),
-                    detection: new_det.clone(),
-                };
-                Ok(())
-            })
+            .map(|&(c, l, d)| self.write(c, l, d))
             .collect()
     }
 
@@ -955,49 +883,11 @@ impl<S: CorrectionSplit> ParityMemory<S> {
                             }
                             continue;
                         }
-                        // Verify correctability through the parity path, then
-                        // act on the counter.
-                        let correctable = {
-                            match self.reconstruct_correction(channel, &loc) {
-                                Ok(corr) => {
-                                    match self.ecc.correct(&mut data, &det, &corr, None) {
-                                        Ok(_) => {
-                                            // Scrub repair: write the
-                                            // corrected value back. Heals
-                                            // transient damage in place;
-                                            // permanent faults re-corrupt on
-                                            // the next read (overlay).
-                                            let idx = self.idx(&loc);
-                                            let fixed_det = self.ecc.detection_of(&data);
-                                            // Keep parity consistent via the
-                                            // write-path identity. The old
-                                            // contribution is `corr` — what
-                                            // the parity actually holds for
-                                            // this line — NOT a recompute
-                                            // from the store, whose bytes a
-                                            // transient may have corrupted
-                                            // after the parity last saw
-                                            // them.
-                                            let new_corr = self.ecc.correction_of(&data);
-                                            let group = self.layout.group_of(channel, &loc);
-                                            let p = self.parity(group);
-                                            for ((a, o), n) in
-                                                p.iter_mut().zip(&corr).zip(&new_corr)
-                                            {
-                                                *a ^= o ^ n;
-                                            }
-                                            self.store[channel][idx] = StoredLine {
-                                                data,
-                                                detection: fixed_det,
-                                            };
-                                            true
-                                        }
-                                        Err(_) => false,
-                                    }
-                                }
-                                Err(_) => false,
-                            }
-                        };
+                        // Verify correctability through the parity path and
+                        // write the repair back, then act on the counter.
+                        // Permanent faults re-corrupt on the next read
+                        // (overlay); transient damage is healed in place.
+                        let correctable = self.repair_through_parity(channel, &loc, data, &det);
                         if !correctable {
                             report.uncorrectable += 1;
                             self.stats.uncorrectable += 1;

@@ -1,79 +1,25 @@
-//! SIMD fixed-multiplier GF(2^8) kernels via 4-bit split tables.
+//! The vector-instruction tier of the host CPU.
 //!
-//! The codec hot loops (Reed–Solomon encode LFSR, syndrome accumulation)
-//! multiply long streams of bytes by one *fixed* field element. The scalar
-//! answer is the 256-byte multiplication-table row of [`crate::gf::Gf256`];
-//! this module goes one step further and splits that row by nibbles: for a
-//! fixed multiplier `a`,
-//!
-//! ```text
-//! a·b  =  a·(b & 0x0F)  ⊕  a·(b & 0xF0)
-//! ```
-//!
-//! so two 16-entry tables (`lo[x] = a·x`, `hi[x] = a·(x<<4)`) replace the
-//! 256-byte row. Sixteen-entry tables fit a vector register, and the x86
-//! `PSHUFB` byte shuffle performs 16 (SSE) or 2×16 (AVX2) table lookups per
-//! instruction — turning a fixed-multiplier pass over an N-byte slice into
-//! roughly N/16 or N/32 shuffle/xor steps.
-//!
-//! Three tiers are selected once per process, at first use:
-//!
-//! * **avx2** — 32 lanes per step (`_mm256_shuffle_epi8`);
-//! * **ssse3** — 16 lanes per step (`_mm_shuffle_epi8`);
-//! * **scalar** — the portable nibble-lookup fallback, also used for the
-//!   tail bytes of the vector paths.
-//!
-//! All three are **bit-identical**: the split tables are derived from the
-//! same flat multiplication table, and GF arithmetic is exact. The scalar
-//! tier can be forced with `ECC_PARITY_NO_SIMD=1` (useful for differential
-//! testing and for ruling the vector paths out of a miscompare). The chosen
-//! tier is reported once as a `kernel.dispatch` trace event when
-//! `ECC_PARITY_TRACE` is active.
+//! No codec in this crate dispatches on it: every GF(2^8) multiply runs
+//! through the flat table and the `MulCtx` rows of [`crate::gf::Gf256`].
+//! The tier is CPU detection only, kept so that measurement reports can
+//! record the host they ran on.
 
-use crate::gf::{Field, Gf256};
 use std::sync::OnceLock;
 
-/// Split multiplication tables of one fixed GF(2^8) multiplier: 32 bytes
-/// that answer `a·b` for every `b` via two nibble lookups. Build once per
-/// multiplier (cheap — 32 reads of the flat table), reuse across a batch.
-#[derive(Debug, Clone, Copy)]
-pub struct NibbleCtx {
-    lo: [u8; 16],
-    hi: [u8; 16],
-}
-
-impl NibbleCtx {
-    /// The split tables of fixed multiplier `a`.
-    pub fn new(a: u8) -> NibbleCtx {
-        let mut lo = [0u8; 16];
-        let mut hi = [0u8; 16];
-        for x in 0..16u8 {
-            lo[x as usize] = Gf256::mul(a, x);
-            hi[x as usize] = Gf256::mul(a, x << 4);
-        }
-        NibbleCtx { lo, hi }
-    }
-
-    /// Scalar nibble-lookup multiply: `a·b` for the captured `a`.
-    #[inline]
-    pub fn mul(&self, b: u8) -> u8 {
-        self.lo[(b & 0x0F) as usize] ^ self.hi[(b >> 4) as usize]
-    }
-}
-
-/// The vector-instruction tier the process dispatches to.
+/// The widest byte-shuffle instruction set the host CPU offers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdTier {
-    /// 32 bytes per step via `_mm256_shuffle_epi8`.
+    /// 32-byte shuffles (`_mm256_shuffle_epi8`).
     Avx2,
-    /// 16 bytes per step via `_mm_shuffle_epi8`.
+    /// 16-byte shuffles (`_mm_shuffle_epi8`).
     Ssse3,
-    /// Portable nibble lookups, one byte at a time.
+    /// Neither.
     Scalar,
 }
 
 impl SimdTier {
-    /// Stable lowercase name (used by the `kernel.dispatch` trace event).
+    /// Stable lowercase name.
     pub fn as_str(self) -> &'static str {
         match self {
             SimdTier::Avx2 => "avx2",
@@ -83,340 +29,26 @@ impl SimdTier {
     }
 }
 
-fn detect_tier() -> SimdTier {
-    let forced_off = std::env::var("ECC_PARITY_NO_SIMD")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    if forced_off {
-        return SimdTier::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return SimdTier::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            return SimdTier::Ssse3;
-        }
-    }
-    SimdTier::Scalar
-}
-
-/// The tier selected for this process (runtime CPU detection, overridden to
-/// scalar by `ECC_PARITY_NO_SIMD=1`). Decided once; the decision is traced
-/// as a `kernel.dispatch` event when tracing is active.
+/// The host's tier, detected once per process.
 pub fn tier() -> SimdTier {
     static TIER: OnceLock<SimdTier> = OnceLock::new();
     *TIER.get_or_init(|| {
-        let t = detect_tier();
-        if obs::trace::enabled() {
-            obs::trace::event(
-                "kernel.dispatch",
-                &[
-                    ("tier", obs::trace::Value::Str(t.as_str())),
-                    ("kernel", obs::trace::Value::Str("gf256_nibble_mul")),
-                ],
-            );
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return SimdTier::Avx2;
+            }
+            if std::arch::is_x86_feature_detected!("ssse3") {
+                return SimdTier::Ssse3;
+            }
         }
-        t
+        SimdTier::Scalar
     })
 }
-
-/// `dst[i] = a·src[i]` for the fixed multiplier captured in `ctx`.
-///
-/// Panics if the slices differ in length.
-pub fn mul_slice(ctx: &NibbleCtx, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "mul_slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match tier() {
-        SimdTier::Avx2 => return unsafe { mul_slice_avx2(ctx, src, dst) },
-        SimdTier::Ssse3 => return unsafe { mul_slice_ssse3(ctx, src, dst) },
-        SimdTier::Scalar => {}
-    }
-    mul_slice_scalar(ctx, src, dst);
-}
-
-/// `buf[i] = a·buf[i]` in place.
-pub fn mul_slice_inplace(ctx: &NibbleCtx, buf: &mut [u8]) {
-    #[cfg(target_arch = "x86_64")]
-    match tier() {
-        SimdTier::Avx2 => return unsafe { mul_inplace_avx2(ctx, buf) },
-        SimdTier::Ssse3 => return unsafe { mul_inplace_ssse3(ctx, buf) },
-        SimdTier::Scalar => {}
-    }
-    mul_inplace_scalar(ctx, buf);
-}
-
-/// `acc[i] ^= a·src[i]` — the multiply-accumulate shape of the encode LFSR.
-///
-/// Panics if the slices differ in length.
-pub fn mul_xor_slice(ctx: &NibbleCtx, src: &[u8], acc: &mut [u8]) {
-    assert_eq!(src.len(), acc.len(), "mul_xor_slice length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match tier() {
-        SimdTier::Avx2 => return unsafe { mul_xor_avx2(ctx, src, acc) },
-        SimdTier::Ssse3 => return unsafe { mul_xor_ssse3(ctx, src, acc) },
-        SimdTier::Scalar => {}
-    }
-    mul_xor_slice_scalar(ctx, src, acc);
-}
-
-/// Portable scalar [`mul_slice`] — public so differential tests and
-/// benchmarks can pin the fallback tier regardless of CPU detection.
-pub fn mul_slice_scalar(ctx: &NibbleCtx, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "mul_slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = ctx.mul(s);
-    }
-}
-
-fn mul_inplace_scalar(ctx: &NibbleCtx, buf: &mut [u8]) {
-    for b in buf.iter_mut() {
-        *b = ctx.mul(*b);
-    }
-}
-
-/// Portable scalar [`mul_xor_slice`] — public for the same reason as
-/// [`mul_slice_scalar`].
-pub fn mul_xor_slice_scalar(ctx: &NibbleCtx, src: &[u8], acc: &mut [u8]) {
-    assert_eq!(src.len(), acc.len(), "mul_xor_slice length mismatch");
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a ^= ctx.mul(s);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::NibbleCtx;
-    use std::arch::x86_64::*;
-
-    // SAFETY contract of every function here: the caller has verified (via
-    // `tier()`) that the CPU supports the named feature set, and paired
-    // slices have equal lengths.
-
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_slice_ssse3(ctx: &NibbleCtx, src: &[u8], dst: &mut [u8]) {
-        let lo = _mm_loadu_si128(ctx.lo.as_ptr() as *const __m128i);
-        let hi = _mm_loadu_si128(ctx.hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = src.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let p = nib_mul128(lo, hi, mask, v);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        super::mul_slice_scalar(ctx, &src[i..], &mut dst[i..]);
-    }
-
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_inplace_ssse3(ctx: &NibbleCtx, buf: &mut [u8]) {
-        let lo = _mm_loadu_si128(ctx.lo.as_ptr() as *const __m128i);
-        let hi = _mm_loadu_si128(ctx.hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = buf.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(buf.as_ptr().add(i) as *const __m128i);
-            let p = nib_mul128(lo, hi, mask, v);
-            _mm_storeu_si128(buf.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        super::mul_inplace_scalar(ctx, &mut buf[i..]);
-    }
-
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_xor_ssse3(ctx: &NibbleCtx, src: &[u8], acc: &mut [u8]) {
-        let lo = _mm_loadu_si128(ctx.lo.as_ptr() as *const __m128i);
-        let hi = _mm_loadu_si128(ctx.hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = src.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let a = _mm_loadu_si128(acc.as_ptr().add(i) as *const __m128i);
-            let p = _mm_xor_si128(a, nib_mul128(lo, hi, mask, v));
-            _mm_storeu_si128(acc.as_mut_ptr().add(i) as *mut __m128i, p);
-            i += 16;
-        }
-        super::mul_xor_slice_scalar(ctx, &src[i..], &mut acc[i..]);
-    }
-
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn nib_mul128(lo: __m128i, hi: __m128i, mask: __m128i, v: __m128i) -> __m128i {
-        let l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-        let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi16(v, 4), mask));
-        _mm_xor_si128(l, h)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_slice_avx2(ctx: &NibbleCtx, src: &[u8], dst: &mut [u8]) {
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(ctx.lo.as_ptr() as *const __m128i));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(ctx.hi.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = src.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let v = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let p = nib_mul256(lo, hi, mask, v);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        super::mul_slice_scalar(ctx, &src[i..], &mut dst[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_inplace_avx2(ctx: &NibbleCtx, buf: &mut [u8]) {
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(ctx.lo.as_ptr() as *const __m128i));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(ctx.hi.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = buf.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let v = _mm256_loadu_si256(buf.as_ptr().add(i) as *const __m256i);
-            let p = nib_mul256(lo, hi, mask, v);
-            _mm256_storeu_si256(buf.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        super::mul_inplace_scalar(ctx, &mut buf[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_xor_avx2(ctx: &NibbleCtx, src: &[u8], acc: &mut [u8]) {
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(ctx.lo.as_ptr() as *const __m128i));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(ctx.hi.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = src.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let v = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let a = _mm256_loadu_si256(acc.as_ptr().add(i) as *const __m256i);
-            let p = _mm256_xor_si256(a, nib_mul256(lo, hi, mask, v));
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        super::mul_xor_slice_scalar(ctx, &src[i..], &mut acc[i..]);
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn nib_mul256(lo: __m256i, hi: __m256i, mask: __m256i, v: __m256i) -> __m256i {
-        let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
-        let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi16(v, 4), mask));
-        _mm256_xor_si256(l, h)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use x86::{
-    mul_inplace_avx2, mul_inplace_ssse3, mul_slice_avx2, mul_slice_ssse3, mul_xor_avx2,
-    mul_xor_ssse3,
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every buffer length that exercises both the vector body and the
-    /// scalar tail of each path.
-    const LENS: &[usize] = &[0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 100, 256];
-
-    fn all_bytes() -> Vec<u8> {
-        (0..=255u8).collect()
-    }
-
-    #[test]
-    fn nibble_ctx_matches_flat_table_exhaustive() {
-        // All 65,536 (a, b) pairs: the split tables must agree with the
-        // flat multiplication table bit for bit.
-        for a in 0..=255u8 {
-            let ctx = NibbleCtx::new(a);
-            for b in 0..=255u8 {
-                assert_eq!(ctx.mul(b), Gf256::mul(a, b), "a={a:#04x} b={b:#04x}");
-            }
-        }
-    }
-
-    #[test]
-    fn dispatched_mul_slice_matches_scalar_exhaustive() {
-        // All 65,536 pairs again, through the dispatched slice kernel (the
-        // core::arch path on capable CPUs, the portable fallback otherwise —
-        // CI runs this test both ways via ECC_PARITY_NO_SIMD).
-        let src = all_bytes();
-        let mut dst = vec![0u8; 256];
-        let mut dst_scalar = vec![0u8; 256];
-        for a in 0..=255u8 {
-            let ctx = NibbleCtx::new(a);
-            mul_slice(&ctx, &src, &mut dst);
-            mul_slice_scalar(&ctx, &src, &mut dst_scalar);
-            assert_eq!(dst, dst_scalar, "a={a:#04x} tier={:?}", tier());
-            for (b, &got) in dst.iter().enumerate() {
-                assert_eq!(got, Gf256::mul(a, b as u8));
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn core_arch_tiers_match_scalar_exhaustive() {
-        // Drive the SSSE3 and AVX2 kernels directly (when the CPU has
-        // them), independent of the dispatched tier, so the vector paths
-        // are covered even under ECC_PARITY_NO_SIMD=1.
-        let src = all_bytes();
-        for a in 0..=255u8 {
-            let ctx = NibbleCtx::new(a);
-            let want: Vec<u8> = src.iter().map(|&b| Gf256::mul(a, b)).collect();
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                let mut dst = vec![0u8; 256];
-                unsafe { mul_slice_ssse3(&ctx, &src, &mut dst) };
-                assert_eq!(dst, want, "ssse3 a={a:#04x}");
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut dst = vec![0u8; 256];
-                unsafe { mul_slice_avx2(&ctx, &src, &mut dst) };
-                assert_eq!(dst, want, "avx2 a={a:#04x}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_kernels_agree_on_awkward_lengths() {
-        // Deterministic pseudo-random content, every tail length.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 24) as u8
-        };
-        for &len in LENS {
-            let src: Vec<u8> = (0..len).map(|_| next()).collect();
-            let base: Vec<u8> = (0..len).map(|_| next()).collect();
-            for a in [0u8, 1, 2, 0x1D, 0x5A, 0x8E, 0xFF] {
-                let ctx = NibbleCtx::new(a);
-                let want: Vec<u8> = src.iter().map(|&b| Gf256::mul(a, b)).collect();
-
-                let mut dst = vec![0u8; len];
-                mul_slice(&ctx, &src, &mut dst);
-                assert_eq!(dst, want, "mul_slice len={len} a={a:#04x}");
-
-                let mut buf = src.clone();
-                mul_slice_inplace(&ctx, &mut buf);
-                assert_eq!(buf, want, "mul_slice_inplace len={len} a={a:#04x}");
-
-                let mut acc = base.clone();
-                mul_xor_slice(&ctx, &src, &mut acc);
-                let want_xor: Vec<u8> = base.iter().zip(&want).map(|(&b, &w)| b ^ w).collect();
-                assert_eq!(acc, want_xor, "mul_xor_slice len={len} a={a:#04x}");
-
-                let mut acc2 = base.clone();
-                mul_xor_slice_scalar(&ctx, &src, &mut acc2);
-                assert_eq!(acc2, want_xor, "mul_xor_slice_scalar len={len} a={a:#04x}");
-            }
-        }
-    }
 
     #[test]
     fn tier_is_stable_and_named() {

@@ -24,14 +24,15 @@
 //! optimization operates on (it stores only the XOR of the *correction* bits
 //! of different channels).
 //!
-//! The underlying machinery — [`gf`] (GF(2^8) and GF(2^16) arithmetic),
-//! [`gfsimd`] (SIMD 4-bit split-table fixed-multiplier kernels with runtime
-//! CPU dispatch), [`rs`] (a systematic Reed–Solomon encoder and
-//! errors-and-erasures decoder with slice-by-4 and lane-parallel batched
-//! evaluation) and [`linear`] (the table-driven encoder every Reed–Solomon
-//! codec computes its check symbols with) — is general and independently
-//! tested.
+//! The underlying machinery — [`gf`] (GF(2^8) and GF(2^16) arithmetic:
+//! the flat multiplication table and per-multiplier `MulCtx` rows), [`rs`]
+//! (a systematic Reed–Solomon encoder and errors-and-erasures decoder with
+//! slice-by-4 syndromes) and [`linear`] (the table-driven encoder every
+//! Reed–Solomon codec computes its check symbols with) — is general and
+//! independently tested. [`gfsimd`] only reports the host CPU's vector
+//! tier; no codec dispatches on it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buslayout;

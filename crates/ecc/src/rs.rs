@@ -13,8 +13,7 @@
 //! check symbols; symbol `i` is the coefficient of `x^(n-1-i)`, so data
 //! occupies the high-degree coefficients (the usual systematic convention).
 
-use crate::gf::{poly, Field, Gf256};
-use crate::gfsimd::{self, NibbleCtx};
+use crate::gf::{poly, Field};
 
 /// Symbols consumed per step by the slice-by-N syndrome kernel. Four breaks
 /// the Horner multiply→add serial dependency into four independent table
@@ -405,100 +404,6 @@ impl<F: Field> ReedSolomon<F> {
     }
 }
 
-/// Lane-parallel batched kernels, GF(2^8) only: one byte of each line
-/// occupies one SIMD lane, so the fixed-multiplier steps of the encode LFSR
-/// and the syndrome recurrence run across the whole batch per instruction
-/// (see [`crate::gfsimd`]). Outputs are bit-identical to the per-line
-/// methods — the batched LFSR uses the branchless form
-/// `parity[j] = parity[j+1] ⊕ g·feedback`, which equals the zero-feedback
-/// rotate branch of [`ReedSolomon::encode`] because `g·0 = 0`.
-impl ReedSolomon<Gf256> {
-    /// Encode many equal-length data words at once; `out[i]` equals
-    /// `self.encode(datas[i])` exactly.
-    ///
-    /// The generator-coefficient nibble tables are built once per call and
-    /// amortized over every lane and symbol of the batch.
-    pub fn encode_lines(&self, datas: &[&[u8]]) -> Vec<Vec<u8>> {
-        let lanes = datas.len();
-        if lanes == 0 {
-            return vec![];
-        }
-        let k = datas[0].len();
-        for d in datas {
-            assert_eq!(d.len(), k, "batched encode needs equal-length words");
-        }
-        assert!(
-            k + self.nroots < Gf256::ORDER,
-            "codeword longer than field allows"
-        );
-        let nib: Vec<NibbleCtx> = self.genpoly.iter().map(|&g| NibbleCtx::new(g)).collect();
-        // Column-major transpose: symbol position i of every lane is one
-        // contiguous row, so each LFSR step streams whole slices.
-        let mut cols = vec![0u8; k * lanes];
-        for (l, d) in datas.iter().enumerate() {
-            for (i, &b) in d.iter().enumerate() {
-                cols[i * lanes + l] = b;
-            }
-        }
-        let mut rows: Vec<Vec<u8>> = (0..self.nroots).map(|_| vec![0u8; lanes]).collect();
-        let mut fb = vec![0u8; lanes];
-        let last = self.nroots - 1;
-        for i in 0..k {
-            let col = &cols[i * lanes..(i + 1) * lanes];
-            for (f, (&c, &p)) in fb.iter_mut().zip(col.iter().zip(&rows[0])) {
-                *f = c ^ p;
-            }
-            // parity[j] = parity[j+1] ⊕ g[nroots-1-j]·fb, parity[last] = g[0]·fb.
-            // rotate_left realizes the parity[j+1] shift without copying.
-            rows.rotate_left(1);
-            gfsimd::mul_slice(&nib[0], &fb, &mut rows[last]);
-            for (j, row) in rows.iter_mut().take(last).enumerate() {
-                gfsimd::mul_xor_slice(&nib[self.nroots - 1 - j], &fb, row);
-            }
-        }
-        (0..lanes)
-            .map(|l| rows.iter().map(|r| r[l]).collect())
-            .collect()
-    }
-
-    /// Syndromes of many equal-length codewords at once; `out[i]` equals
-    /// `self.syndromes(codewords[i])` exactly, computed lane-parallel: per
-    /// root, the accumulator of every lane advances through one
-    /// fixed-multiplier slice multiply per symbol position.
-    pub fn syndromes_lines(&self, codewords: &[&[u8]]) -> Vec<Vec<u8>> {
-        let lanes = codewords.len();
-        if lanes == 0 {
-            return vec![];
-        }
-        let n = codewords[0].len();
-        for cw in codewords {
-            assert_eq!(cw.len(), n, "batched syndromes need equal-length codewords");
-        }
-        let mut cols = vec![0u8; n * lanes];
-        for (l, cw) in codewords.iter().enumerate() {
-            for (i, &b) in cw.iter().enumerate() {
-                cols[i * lanes + l] = b;
-            }
-        }
-        let mut out = vec![vec![0u8; self.nroots]; lanes];
-        let mut acc = vec![0u8; lanes];
-        for j in 0..self.nroots {
-            let nib = NibbleCtx::new(Gf256::alpha_pow(j as i64));
-            acc.fill(0);
-            for i in 0..n {
-                gfsimd::mul_slice_inplace(&nib, &mut acc);
-                for (a, &c) in acc.iter_mut().zip(&cols[i * lanes..(i + 1) * lanes]) {
-                    *a ^= c;
-                }
-            }
-            for (l, o) in out.iter_mut().enumerate() {
-                o[j] = acc[l];
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,53 +648,6 @@ mod tests {
             for _ in 0..10 {
                 let cw: Vec<u16> = (0..n).map(|_| rng.gen()).collect();
                 assert_eq!(rs.syndromes(&cw), rs.syndromes_horner(&cw), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_encode_matches_per_line() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for nroots in [1usize, 2, 4, 8] {
-            let rs = ReedSolomon::<Gf256>::new(nroots);
-            for k in [1usize, 16, 32, 64] {
-                for lanes in [0usize, 1, 2, 3, 16, 33, 64] {
-                    let words: Vec<Vec<u8>> = (0..lanes)
-                        .map(|_| (0..k).map(|_| rng.gen()).collect())
-                        .collect();
-                    let refs: Vec<&[u8]> = words.iter().map(|w| w.as_slice()).collect();
-                    let batched = rs.encode_lines(&refs);
-                    assert_eq!(batched.len(), lanes);
-                    for (w, got) in words.iter().zip(&batched) {
-                        assert_eq!(got, &rs.encode(w), "nroots={nroots} k={k} lanes={lanes}");
-                    }
-                }
-            }
-        }
-        // zero feedback path: all-zero words must match too
-        let rs = ReedSolomon::<Gf256>::new(4);
-        let zero = vec![0u8; 32];
-        let refs: Vec<&[u8]> = vec![&zero, &zero];
-        for checks in rs.encode_lines(&refs) {
-            assert_eq!(checks, rs.encode(&zero));
-        }
-    }
-
-    #[test]
-    fn batched_syndromes_match_per_line() {
-        let mut rng = StdRng::seed_from_u64(37);
-        let rs = ReedSolomon::<Gf256>::new(4);
-        for lanes in [0usize, 1, 5, 17, 64] {
-            for n in [5usize, 20, 36, 68] {
-                let cws: Vec<Vec<u8>> = (0..lanes)
-                    .map(|_| (0..n).map(|_| rng.gen()).collect())
-                    .collect();
-                let refs: Vec<&[u8]> = cws.iter().map(|c| c.as_slice()).collect();
-                let batched = rs.syndromes_lines(&refs);
-                assert_eq!(batched.len(), lanes);
-                for (cw, got) in cws.iter().zip(&batched) {
-                    assert_eq!(got, &rs.syndromes(cw), "lanes={lanes} n={n}");
-                }
             }
         }
     }

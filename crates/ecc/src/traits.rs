@@ -135,17 +135,11 @@ pub trait MemoryEcc: Send + Sync {
     /// Encode a data line into a full codeword.
     fn encode(&self, data: &[u8]) -> Codeword;
 
-    /// Encode a batch of data lines at once. Semantically exactly
-    /// `lines.iter().map(|l| self.encode(l))`, and the default does just
-    /// that. No scheme in this crate overrides it: the Reed–Solomon codecs
-    /// encode through a per-process table ([`crate::linear::LinearMap`]),
-    /// so a batch has no setup left to amortize.
-    ///
-    /// Implementations (including overrides) call [`record_batch`] once per
-    /// invocation so the `codec.batch.lines` counter and batch-size
-    /// histogram stay accurate.
+    /// Encode a batch of lines: `lines.iter().map(|l| self.encode(l))`.
+    /// No scheme overrides it and no workspace code calls it; it stays
+    /// only because the benchmark's timing wrapper
+    /// (`benchmark/src/timed.rs`) overrides it.
     fn encode_lines(&self, lines: &[&[u8]]) -> Vec<Codeword> {
-        record_batch(lines.len());
         lines.iter().map(|l| self.encode(l)).collect()
     }
 
@@ -201,20 +195,19 @@ pub trait CorrectionSplit: MemoryEcc {
         self.encode(data).detection
     }
 
-    /// Correction bits of a whole batch of clean lines; semantically
-    /// `lines.iter().map(|l| self.correction_of(l))`, which is what every
-    /// scheme in this crate runs. Implementations call [`record_batch`]
-    /// once per invocation.
+    /// Correction bits of a batch of clean lines:
+    /// `lines.iter().map(|l| self.correction_of(l))`. Kept, like
+    /// [`MemoryEcc::encode_lines`], only because `benchmark/src/timed.rs`
+    /// overrides it.
     fn correction_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        record_batch(lines.len());
         lines.iter().map(|l| self.correction_of(l)).collect()
     }
 
-    /// Detection bits of a whole batch of clean lines; semantically
-    /// `lines.iter().map(|l| self.detection_of(l))`. Implementations call
-    /// [`record_batch`] once per invocation.
+    /// Detection bits of a batch of clean lines:
+    /// `lines.iter().map(|l| self.detection_of(l))`. Kept, like
+    /// [`MemoryEcc::encode_lines`], only because `benchmark/src/timed.rs`
+    /// overrides it.
     fn detection_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        record_batch(lines.len());
         lines.iter().map(|l| self.detection_of(l)).collect()
     }
 }
@@ -241,11 +234,6 @@ impl MemoryEcc for Box<dyn CorrectionSplit> {
     fn encode(&self, data: &[u8]) -> Codeword {
         (**self).encode(data)
     }
-    fn encode_lines(&self, lines: &[&[u8]]) -> Vec<Codeword> {
-        // Forward, don't default: a boxed scheme must keep its batched
-        // override (and record_batch must fire exactly once).
-        (**self).encode_lines(lines)
-    }
     fn detect(&self, data: &[u8], detection: &[u8]) -> DetectOutcome {
         (**self).detect(data, detection)
     }
@@ -270,12 +258,6 @@ impl CorrectionSplit for Box<dyn CorrectionSplit> {
     fn detection_of(&self, data: &[u8]) -> Vec<u8> {
         (**self).detection_of(data)
     }
-    fn correction_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        (**self).correction_of_lines(lines)
-    }
-    fn detection_of_lines(&self, lines: &[&[u8]]) -> Vec<Vec<u8>> {
-        (**self).detection_of_lines(lines)
-    }
 }
 
 /// Record a successful correction in the observability registry (`obs`
@@ -292,18 +274,6 @@ pub fn record_correction(code: &'static str, repaired_bytes: usize) {
     obs::counter!("ecc.corrections").inc();
     obs::histogram!("ecc.repaired_bytes").observe(repaired_bytes as u64);
     per_code_counter(code).inc();
-}
-
-/// Record one batched-codec invocation covering `lines` lines. Emits the
-/// `codec.batch.lines` counter (total lines pushed through batched entry
-/// points) and the `codec.batch.size` log2 histogram of batch sizes. While
-/// `ECC_PARITY_METRICS` is unset the call is one relaxed load and a branch.
-pub fn record_batch(lines: usize) {
-    if !obs::metrics::enabled() {
-        return;
-    }
-    obs::counter!("codec.batch.lines").add(lines as u64);
-    obs::histogram!("codec.batch.size").observe(lines as u64);
 }
 
 /// Per-scheme counters are keyed by the scheme's `name()`; the composed

@@ -280,23 +280,17 @@ impl SoakEnv {
     /// Write every line of every channel so the shadow covers the whole
     /// address space before chaos begins.
     fn fill(&mut self) {
-        // One batched write per channel: the data stream comes off the rng
-        // in exactly the per-line order (writes consume no randomness), and
-        // `checked_write_lines` replays the per-item bookkeeping, so the
-        // fill is observationally identical to line-at-a-time writes while
-        // the codec work runs through the batched entry points.
+        // One `checked_write` per line. The order the lines draw their
+        // bytes from the rng (channel-major) fixes every seed's output.
         for channel in 0..self.shape.channels {
-            let mut batch = Vec::with_capacity(self.shape.lines_per_channel() as usize);
             for bank in 0..self.shape.banks_per_channel {
                 for row in 0..self.shape.data_rows {
                     for line in 0..self.shape.lines_per_row {
-                        let loc = LineLoc { bank, row, line };
                         let data = self.random_line_bytes();
-                        batch.push((loc, data));
+                        self.checked_write(channel, LineLoc { bank, row, line }, &data);
                     }
                 }
             }
-            self.checked_write_lines(channel, &batch);
         }
     }
 
@@ -316,30 +310,6 @@ impl SoakEnv {
             Err(e) => panic!("soak write to in-range location failed: {e}"),
         }
         self.maybe_monitor();
-    }
-
-    /// Batched counterpart of [`Self::checked_write`]: one `write_lines`
-    /// call to a single channel, then the identical per-item accounting
-    /// (access counter, shadow mirror, outcome counts, monitor cadence).
-    fn checked_write_lines(&mut self, channel: usize, writes: &[(LineLoc, Vec<u8>)]) {
-        let batch: Vec<(usize, LineLoc, &[u8])> = writes
-            .iter()
-            .map(|(loc, data)| (channel, *loc, data.as_slice()))
-            .collect();
-        let results = self.mem.write_lines(&batch);
-        for ((loc, data), res) in writes.iter().zip(results) {
-            self.accesses += 1;
-            match res {
-                Ok(()) => {
-                    self.shadow.set(channel, loc, data);
-                    self.counts.writes += 1;
-                }
-                Err(MemError::RetiredPage) => self.counts.retired_page_writes += 1,
-                Err(MemError::Uncorrectable) => self.counts.uncorrectable_writes += 1,
-                Err(e) => panic!("soak write to in-range location failed: {e}"),
-            }
-            self.maybe_monitor();
-        }
     }
 
     /// Issue a read and classify the outcome against the shadow copy and

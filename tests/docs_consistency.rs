@@ -23,6 +23,13 @@
 //!    by non-comment code under `crates/*/src` and `src/` is listed in
 //!    `ARCHITECTURE.md`'s metrics table, and every name listed there is
 //!    still emitted.
+//! 7. **The trace-event list matches the code** — the same two-way check
+//!    for `obs::trace::event` names against `ARCHITECTURE.md`'s list of
+//!    trace events.
+//! 8. **`BENCH_gf_kernels.json` measures the bench that exists** — every
+//!    id in its results is a `group/bench_function` of
+//!    `crates/bench/benches/ecc_codecs.rs`, and every such id has a
+//!    result.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -432,11 +439,11 @@ fn tabled_metrics() -> BTreeSet<String> {
     names
 }
 
-/// The metric names emitted by non-comment code under `crates/*/src` and
-/// `src/`.
-fn emitted_metrics() -> BTreeSet<String> {
+/// The non-comment lines of every source file under `crates/*/src` and
+/// `src/`, one string per file.
+fn production_code() -> Vec<String> {
     let root = repo_root();
-    let mut names = BTreeSet::new();
+    let mut files = Vec::new();
     for path in source_files() {
         let rel = path.strip_prefix(&root).expect("a repo path");
         let mut parts = rel.components().map(|c| c.as_os_str().to_string_lossy());
@@ -449,11 +456,21 @@ fn emitted_metrics() -> BTreeSet<String> {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("read source");
-        let code: String = text
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("//"))
-            .map(|l| format!("{l}\n"))
-            .collect();
+        files.push(
+            text.lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .map(|l| format!("{l}\n"))
+                .collect(),
+        );
+    }
+    files
+}
+
+/// The metric names emitted by non-comment code under `crates/*/src` and
+/// `src/`.
+fn emitted_metrics() -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for code in production_code() {
         metric_names(&code, &mut names);
     }
     names
@@ -478,5 +495,167 @@ fn metrics_table_matches_the_code() {
     assert!(
         stale.is_empty(),
         "ARCHITECTURE.md's metrics table lists metrics no code emits: {stale:?}"
+    );
+}
+
+/// The first argument of every call `call` (such as `"trace::event("`) in
+/// `code`: `Ok` with the literal's contents, or `Err` with the text of a
+/// non-literal argument.
+fn first_args(code: &str, call: &str) -> Vec<Result<String, String>> {
+    code.match_indices(call)
+        .filter(|(at, _)| {
+            // A whole call, not the tail of a longer name (`fn f(` vs `g_f(`).
+            let before = code.as_bytes()[..*at].last().copied();
+            !before.is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
+        })
+        .map(|(at, _)| {
+            let rest = code[at + call.len()..].trim_start();
+            match rest.strip_prefix('"') {
+                Some(lit) => Ok(lit[..lit.find('"').expect("a closed literal")].to_string()),
+                None => Err(rest[..rest.find([',', ')']).unwrap_or(rest.len())].to_string()),
+            }
+        })
+        .collect()
+}
+
+/// The trace event names emitted by non-comment code under `crates/*/src`
+/// and `src/`: the literal first argument of every `trace::event(` call.
+/// Where that argument is a variable, the call sits in a wrapper such as
+/// `cache.rs`'s `trace_lookup(kind, ..)`; the names are then the literal
+/// first arguments of the wrapper's calls in the same file.
+fn emitted_trace_events() -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for code in production_code() {
+        for arg in first_args(&code, "trace::event(") {
+            let kind = match arg {
+                Ok(name) => {
+                    names.insert(name);
+                    continue;
+                }
+                Err(kind) => kind,
+            };
+            // The wrapper: the fn whose parameter list names `kind`.
+            let wrapper = code
+                .match_indices("fn ")
+                .find_map(|(at, _)| {
+                    let (name, rest) = code[at + 3..].split_once('(')?;
+                    let (params, _) = rest.split_once(')')?;
+                    params.contains(&format!("{kind}: &str")).then_some(name)
+                })
+                .unwrap_or_else(|| panic!("no wrapper fn takes the trace kind `{kind}`"));
+            let calls: Vec<String> = first_args(&code, &format!("{wrapper}("))
+                .into_iter()
+                .filter_map(Result::ok)
+                .collect();
+            assert!(
+                !calls.is_empty(),
+                "`{wrapper}` is never called with a literal kind"
+            );
+            names.extend(calls);
+        }
+    }
+    names
+}
+
+/// The names in `ARCHITECTURE.md`'s trace-event list: every backticked
+/// dotted lowercase name from the `Trace events (` line to the blank line
+/// that ends the list.
+fn listed_trace_events() -> BTreeSet<String> {
+    let doc = std::fs::read_to_string(repo_root().join("ARCHITECTURE.md")).expect("read doc");
+    let start = doc
+        .find("Trace events (")
+        .expect("ARCHITECTURE.md lists the trace events");
+    let head = doc[start..]
+        .find("\n\n")
+        .expect("a blank line after the heading");
+    let list_end = doc[start + head + 2..]
+        .find("\n\n")
+        .map_or(doc.len(), |end| start + head + 2 + end);
+    doc[start..list_end]
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|s| {
+            s.contains('.')
+                && s.bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'.')
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn trace_event_list_matches_the_code() {
+    let emitted = emitted_trace_events();
+    let listed = listed_trace_events();
+    for names in [&emitted, &listed] {
+        assert!(
+            names.len() >= 10 && names.contains("cache.hit") && names.contains("run.start"),
+            "trace event extraction looks broken: {names:?}"
+        );
+    }
+    let unlisted: Vec<&String> = emitted.difference(&listed).collect();
+    assert!(
+        unlisted.is_empty(),
+        "trace events emitted in code but missing from ARCHITECTURE.md's list: {unlisted:?}"
+    );
+    let stale: Vec<&String> = listed.difference(&emitted).collect();
+    assert!(
+        stale.is_empty(),
+        "ARCHITECTURE.md's trace-event list names events no code emits: {stale:?}"
+    );
+}
+
+/// The `group/bench_function` ids of `ecc_codecs.rs` whose group name is a
+/// literal. The per-scheme groups of `bench_codec` are named at run time
+/// and are not recorded in `BENCH_gf_kernels.json`.
+fn gf_kernel_bench_ids() -> BTreeSet<String> {
+    let path = repo_root().join("crates/bench/benches/ecc_codecs.rs");
+    let code = std::fs::read_to_string(path).expect("read ecc_codecs.rs");
+    let mut ids = BTreeSet::new();
+    let mut group: Option<String> = None;
+    for line in code.lines() {
+        if let Some(arg) = first_args(line, "benchmark_group(").pop() {
+            group = arg.ok();
+        }
+        if let (Some(g), Some(Ok(f))) = (&group, first_args(line, "bench_function(").pop()) {
+            ids.insert(format!("{g}/{f}"));
+        }
+    }
+    ids
+}
+
+#[test]
+fn gf_kernel_results_match_the_bench() {
+    let text =
+        std::fs::read_to_string(repo_root().join("BENCH_gf_kernels.json")).expect("read json");
+    let json: serde_json::Value = serde_json::from_str(&text).expect("BENCH_gf_kernels.json");
+    let keys = |field: &str| -> BTreeSet<String> {
+        json.get(field)
+            .and_then(serde_json::Value::as_object)
+            .unwrap_or_else(|| panic!("BENCH_gf_kernels.json has an object `{field}`"))
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    };
+    let timed = keys("results_ns_per_iter");
+    let throughput = keys("results_throughput");
+    let bench = gf_kernel_bench_ids();
+    assert!(
+        bench.len() >= 5 && bench.contains("rs_encode/linear_table"),
+        "bench id extraction looks broken: {bench:?}"
+    );
+    let stale: Vec<&String> = timed
+        .union(&throughput)
+        .filter(|id| !bench.contains(*id))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "BENCH_gf_kernels.json holds results for ids ecc_codecs.rs no longer has: {stale:?}"
+    );
+    let missing: Vec<&String> = bench.difference(&timed).collect();
+    assert!(
+        missing.is_empty(),
+        "ecc_codecs.rs ids with no result in BENCH_gf_kernels.json: {missing:?}"
     );
 }
